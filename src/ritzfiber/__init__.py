@@ -9,7 +9,6 @@ symbolically, and provides the observability/controllability diagnostics that
 govern unique bordering completions.
 """
 
-from ._kernels import backend_name
 from .arrow import (
     ArrowFactorization,
     ArrowMatrix,
@@ -78,7 +77,6 @@ from .numcore import (
     Tolerances,
     charpoly_from_eigs,
     eigenvalues,
-    eigvec_last_one,
     leading_submatrix,
     numeric_rank,
     poly_derivative,

@@ -1,201 +1,31 @@
-"""Hot numeric kernels: complex Hessenberg reduction and shifted-QR eigenvalues.
+"""The package's one eigensolver call: LAPACK ``zgeev`` through numpy.
 
-Both kernels are written as plain loop code that is valid nopython numba and
-valid ordinary Python.  The environment variable ``RITZFIBER_BACKEND`` selects
-the execution path:
-
-* ``auto`` (default) - compile with ``numba.njit`` when numba is importable,
-  otherwise fall back to the pure numpy/Python path;
-* ``numba``          - require numba, error if missing;
-* ``numpy``          - force the pure numpy/Python fallback.
-
-``BACKEND`` records which path is active.  The jitted functions keep their
-uncompiled originals on ``.py_func`` (numba convention), which the benchmark
-and the backend-equivalence tests use to compare both paths in one process.
+Every spectrum and eigenvector matrix in the package comes from here.  A
+LAPACK failure and any non-finite result (e.g. an eigenvalue that overflows
+on huge entries) raise NumericalError, so no caller sees a wrong spectrum.
 """
-
-import os
 
 import numpy as np
 
-ENV_FLAG = "RITZFIBER_BACKEND"
+from .errors import NumericalError
 
 
-def _resolve_backend():
-    requested = os.environ.get(ENV_FLAG, "auto").strip().lower()
-    if requested not in ("auto", "numba", "numpy"):
-        raise ValueError(
-            f"{ENV_FLAG} must be one of auto|numba|numpy, got {requested!r}"
-        )
-    if requested == "numpy":
-        return "numpy", None
+def _checked(call, x):
     try:
-        import numba
-    except ImportError:
-        if requested == "numba":
-            raise ImportError(f"{ENV_FLAG}={requested} but numba is not installed")
-        return "numpy", None
-    return "numba", numba
+        out = call(x)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"LAPACK eigensolver failed: {exc}") from None
+    for part in out if isinstance(out, tuple) else (out,):
+        if not np.all(np.isfinite(part)):
+            raise NumericalError("eigensolver returned non-finite values (overflow)")
+    return out
 
 
-BACKEND, _numba = _resolve_backend()
+def eigvals(x):
+    """Eigenvalues of the complex matrix x, in LAPACK's order."""
+    return _checked(np.linalg.eigvals, x)
 
 
-def _jit(func):
-    if _numba is None:
-        return func
-    return _numba.njit(cache=True)(func)
-
-
-def backend_name():
-    """Name of the active kernel backend: ``"numba"`` or ``"numpy"``."""
-    return BACKEND
-
-
-@_jit
-def hessenberg_reduce(a):
-    """Unitary similarity reduction of a complex matrix to upper Hessenberg form.
-
-    Uses Householder reflections; returns a new array, the input is untouched.
-    """
-    n = a.shape[0]
-    h = a.copy()
-    for k in range(n - 2):
-        xnorm2 = 0.0
-        for i in range(k + 1, n):
-            xnorm2 += h[i, k].real ** 2 + h[i, k].imag ** 2
-        xnorm = np.sqrt(xnorm2)
-        if xnorm == 0.0:
-            continue
-        x0 = h[k + 1, k]
-        ax0 = abs(x0)
-        if ax0 == 0.0:
-            phase = 1.0 + 0.0j
-        else:
-            phase = x0 / ax0
-        alpha = -phase * xnorm
-        v = np.zeros(n - k - 1, dtype=np.complex128)
-        for i in range(k + 1, n):
-            v[i - k - 1] = h[i, k]
-        v[0] -= alpha
-        vnorm2 = 0.0
-        for i in range(v.shape[0]):
-            vnorm2 += v[i].real ** 2 + v[i].imag ** 2
-        if vnorm2 == 0.0:
-            continue
-        beta = 2.0 / vnorm2
-        # left update, rows k+1..n-1 (columns < k are already zero there)
-        for j in range(k, n):
-            s = 0.0 + 0.0j
-            for i in range(v.shape[0]):
-                s += v[i].conjugate() * h[k + 1 + i, j]
-            s *= beta
-            for i in range(v.shape[0]):
-                h[k + 1 + i, j] -= s * v[i]
-        # right update, columns k+1..n-1
-        for i in range(n):
-            s = 0.0 + 0.0j
-            for j in range(v.shape[0]):
-                s += h[i, k + 1 + j] * v[j]
-            s *= beta
-            for j in range(v.shape[0]):
-                h[i, k + 1 + j] -= s * v[j].conjugate()
-        h[k + 1, k] = alpha
-        for i in range(k + 2, n):
-            h[i, k] = 0.0
-    return h
-
-
-@_jit
-def hessenberg_eigvalues(hmat, deflate_tol, max_iter):
-    """Eigenvalues of an upper Hessenberg matrix by single-shift complex QR.
-
-    The shift is the eigenvalue of the trailing 2x2 block closest to the last
-    diagonal entry (Wilkinson shift); every 10th sweep on a stuck block uses an
-    exceptional shift.  A subdiagonal entry is declared zero when it is at most
-    ``deflate_tol`` times the sum of the magnitudes of its diagonal neighbours,
-    so the result has backward error of that order.
-
-    Returns ``(eigs, ok)``; ``ok`` is False when some eigenvalue failed to
-    converge within ``max_iter`` sweeps.
-    """
-    n = hmat.shape[0]
-    h = hmat.copy()
-    eigs = np.zeros(n, dtype=np.complex128)
-    cs = np.zeros(n, dtype=np.float64)
-    sn = np.zeros(n, dtype=np.complex128)
-    hi = n - 1
-    it = 0
-    while hi >= 0:
-        if hi == 0:
-            eigs[0] = h[0, 0]
-            break
-        for k in range(1, hi + 1):
-            if abs(h[k, k - 1]) <= deflate_tol * (abs(h[k - 1, k - 1]) + abs(h[k, k])):
-                h[k, k - 1] = 0.0
-        if h[hi, hi - 1] == 0.0:
-            eigs[hi] = h[hi, hi]
-            hi -= 1
-            it = 0
-            continue
-        lo = hi
-        while lo > 0 and h[lo, lo - 1] != 0.0:
-            lo -= 1
-        it += 1
-        if it > max_iter:
-            return eigs, False
-        if it % 10 == 0:
-            shift = h[hi, hi] + 0.75 * abs(h[hi, hi - 1])
-        else:
-            a = h[hi - 1, hi - 1]
-            b = h[hi - 1, hi]
-            c = h[hi, hi - 1]
-            d = h[hi, hi]
-            tr = a + d
-            disc = np.sqrt(tr * tr - 4.0 * (a * d - b * c))
-            mu1 = 0.5 * (tr + disc)
-            mu2 = 0.5 * (tr - disc)
-            if abs(mu1 - d) <= abs(mu2 - d):
-                shift = mu1
-            else:
-                shift = mu2
-        for i in range(lo, hi + 1):
-            h[i, i] -= shift
-        # QR factor via Givens rotations zeroing the subdiagonal
-        for i in range(lo, hi):
-            f = h[i, i]
-            g = h[i + 1, i]
-            r = np.sqrt(f.real ** 2 + f.imag ** 2 + g.real ** 2 + g.imag ** 2)
-            if r == 0.0:
-                cs[i] = 1.0
-                sn[i] = 0.0
-                continue
-            af = abs(f)
-            if af == 0.0:
-                cs[i] = 0.0
-                sn[i] = g.conjugate() / abs(g)
-            else:
-                cs[i] = af / r
-                sn[i] = (f / af) * g.conjugate() / r
-            cc = cs[i]
-            ss = sn[i]
-            for j in range(i, n):
-                t1 = h[i, j]
-                t2 = h[i + 1, j]
-                h[i, j] = cc * t1 + ss * t2
-                h[i + 1, j] = -ss.conjugate() * t1 + cc * t2
-        # form RQ: multiply by the adjoint rotations on the right
-        for i in range(lo, hi):
-            cc = cs[i]
-            ss = sn[i]
-            jmax = i + 1
-            if jmax > hi:
-                jmax = hi
-            for j in range(0, jmax + 1):
-                t1 = h[j, i]
-                t2 = h[j, i + 1]
-                h[j, i] = cc * t1 + ss.conjugate() * t2
-                h[j, i + 1] = -ss * t1 + cc * t2
-        for i in range(lo, hi + 1):
-            h[i, i] += shift
-    return eigs, True
+def eig(x):
+    """``(eigenvalues, unit-norm eigenvector columns)`` of the complex matrix x."""
+    return _checked(np.linalg.eig, x)

@@ -3,7 +3,8 @@ generic matrix, reconstruction of the matrix from (Ritz values, b), the flat
 s-coordinate vector, and the elementary-conjugation transforms.
 
 For each level m the matrix x_m is diagonalized by the unique eigenvector
-matrix g_m whose last row is all ones; conjugating x_{m+1} by g_m (+) 1 puts
+matrix g_m whose last row is all ones (one LAPACK eig call per level, columns
+rescaled to last entry 1); conjugating x_{m+1} by g_m (+) 1 puts
 it in arrow form, whose bordering row b_m and column c_m are the coordinates.
 Given the Ritz values, b determines c (their entrywise product is the
 fibre-intrinsic Sigma_m), and the recurrence
@@ -19,9 +20,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _kernels
 from .arrow import cauchy_matrix, pi_matrix, sigma_matrix
+from .errors import GenericityError, NumericalError
 from .fiber import RitzData, require_generic, ritz_values
-from .numcore import DEFAULT_TOL, as_complex_matrix, as_complex_vector, eigvec_last_one
+from .numcore import DEFAULT_TOL, as_complex_matrix, as_complex_vector
 
 
 @dataclass
@@ -69,10 +72,39 @@ class CoordsExtraction(NamedTuple):
 
 
 def diagonalizer(xm, mus, tol=DEFAULT_TOL):
-    """Eigenvector matrix of xm with columns ordered by mus and last row ones."""
+    """Eigenvector matrix of xm with columns ordered by mus and last row ones.
+
+    Column i belongs to the LAPACK eigenvalue nearest mus[i]; the match must
+    be one to one.  A last entry below coincide_rel relative to its column
+    means the leading submatrix of order m-1 shares that eigenvalue
+    (GenericityError).  The residual ||xm g - g diag(mus)|| is guaranteed at
+    most eig_rel * ||xm|| * ||g||, else NumericalError.
+    """
     xm = as_complex_matrix(xm)
-    cols = [eigvec_last_one(xm, mu, tol) for mu in mus]
-    return np.column_stack(cols)
+    mus = as_complex_vector(mus)
+    m = xm.shape[0]
+    if len(mus) != m:
+        raise ValueError(f"need {m} eigenvalues, got {len(mus)}")
+    lam, vecs = _kernels.eig(xm)
+    match = np.argmin(np.abs(mus[:, None] - lam[None, :]), axis=1)
+    if len(np.unique(match)) != m:
+        raise NumericalError("eigenvalues do not match the given order one to one")
+    vecs = vecs[:, match]
+    last = vecs[-1]
+    small = np.abs(last) < tol.coincide_rel * np.linalg.norm(vecs, axis=0)
+    if np.any(small):
+        raise GenericityError(
+            "eigenvector has (numerically) vanishing last entry: the leading "
+            f"submatrix of order {m - 1} shares the eigenvalue {mus[small][0]}"
+        )
+    g = vecs / last
+    g[-1] = 1.0
+    residual = np.linalg.norm(xm @ g - g * mus)
+    if residual > tol.eig_rel * np.linalg.norm(xm) * np.linalg.norm(g):
+        raise NumericalError(
+            f"eigenpair residual {residual:.3e} exceeds {tol.eig_rel:.1e} * ||x|| * ||g||"
+        )
+    return g
 
 
 def _validate_b_nonzero(fc, tol):

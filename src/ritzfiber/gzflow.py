@@ -152,15 +152,9 @@ def eigen_flow(x, j, q, tol=DEFAULT_TOL):
     m, l = decode_slot(j)
     if m > n - 1:
         raise ValueError(f"slot j={j} addresses level {m}, out of range 1..{n - 1}")
-    r = ritz_values(x, tol)
-    require_generic(r, tol)
-    g = diagonalizer(x[:m, :m], r.level(m), tol)
-    ginv = np.linalg.solve(g, np.eye(m, dtype=np.complex128))
-    dvec = np.ones(m, dtype=np.complex128)
-    dvec[l - 1] = np.exp(q)
-    fwd = _embed(g @ (dvec[:, None] * ginv), n)
-    bwd = _embed(g @ ((1.0 / dvec)[:, None] * ginv), n)
-    return fwd @ x @ bwd
+    qs = np.zeros(m, dtype=np.complex128)
+    qs[l - 1] = q
+    return level_flow(x, m, qs, tol)
 
 
 def level_flow(x, m, qs, tol=DEFAULT_TOL):

@@ -1,4 +1,4 @@
-"""Self-contained complex linear-algebra and polynomial kernel.
+"""Complex linear-algebra and polynomial kernel; spectra come from LAPACK.
 
 Conventions used across the package:
 
@@ -13,19 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import GenericityError, NumericalError
-
-_EPS = float(np.finfo(np.float64).eps)
-
-# documented cap on QR sweeps per eigenvalue before giving up
-MAX_QR_SWEEPS = 60
 
 
 @dataclass
 class Tolerances:
     """Numerical thresholds used by every operation in the package.
 
-    eig_rel      relative backward-error target of the eigensolver
+    eig_rel      relative eigenpair residual bound: ||x g - g Lam|| <= eig_rel ||x|| ||g||
     coincide_rel relative threshold below which two eigenvalues count as equal
     rank_rel     relative singular-value cutoff for rank decisions
     """
@@ -84,68 +78,10 @@ def canonical_sort(eigs):
 def eigenvalues(x, tol=DEFAULT_TOL):
     """All eigenvalues of x with multiplicity, in canonical order.
 
-    Householder reduction to upper Hessenberg form followed by single-shift
-    (Wilkinson) QR iteration in complex arithmetic.  Each returned value is an
-    exact eigenvalue of some x + D with ||D|| <= eig_rel * ||x||.
+    One LAPACK ``zgeev`` call; a failure or non-finite result raises
+    NumericalError.  ``tol`` is accepted for a uniform signature.
     """
-    x = as_complex_matrix(x)
-    h = _kernels.hessenberg_reduce(x)
-    # deflate well inside the promised backward error: near machine precision
-    # at the default eig_rel, proportionally looser if the user relaxes it
-    deflate = max(30.0 * _EPS, 1e-4 * tol.eig_rel)
-    eigs, ok = _kernels.hessenberg_eigvalues(h, deflate, MAX_QR_SWEEPS)
-    if not ok:
-        raise NumericalError(
-            f"QR iteration did not converge within {MAX_QR_SWEEPS} sweeps"
-        )
-    return canonical_sort(eigs)
-
-
-def eigvec_last_one(x, mu, tol=DEFAULT_TOL):
-    """Eigenvector of x for the eigenvalue mu, normalized to last entry 1.
-
-    Inverse iteration: one LU back-solve from a fixed pseudo-random start and
-    two refinement steps.  The residual ||(x - mu I) u|| is guaranteed at most
-    eig_rel * ||x|| * ||u||; a last entry smaller than coincide_rel in relative
-    size signals that the trailing principal submatrix shares the eigenvalue,
-    which is reported as a genericity violation.
-    """
-    x = as_complex_matrix(x)
-    m = x.shape[0]
-    mu = complex(mu)
-    xnorm = float(np.linalg.norm(x))
-    if m == 1:
-        if abs(x[0, 0] - mu) > max(tol.eig_rel * xnorm, tol.eig_rel):
-            raise NumericalError(f"{mu} is not an eigenvalue of the 1x1 matrix")
-        return np.ones(1, dtype=np.complex128)
-    a = x - mu * np.eye(m, dtype=np.complex128)
-    scale = xnorm + abs(mu)
-    rng = np.random.default_rng(0x51A3)
-    v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    v /= np.linalg.norm(v)
-    jitter = 0.0
-    for _ in range(3):
-        try:
-            w = np.linalg.solve(a + jitter * np.eye(m), v)
-        except np.linalg.LinAlgError:
-            # exactly singular shift: nudge the diagonal and retry
-            jitter = 100.0 * _EPS * max(scale, 1.0)
-            w = np.linalg.solve(a + jitter * np.eye(m), v)
-        v = w / np.linalg.norm(w)
-    residual = np.linalg.norm(a @ v)
-    if residual > tol.eig_rel * max(xnorm, _EPS):
-        raise NumericalError(
-            f"inverse iteration residual {residual:.3e} exceeds "
-            f"{tol.eig_rel:.1e} * ||x||"
-        )
-    if abs(v[-1]) < tol.coincide_rel * np.linalg.norm(v):
-        raise GenericityError(
-            "eigenvector has (numerically) vanishing last entry: the leading "
-            f"submatrix of order {m - 1} shares the eigenvalue {mu}"
-        )
-    u = v / v[-1]
-    u[-1] = 1.0
-    return u
+    return canonical_sort(_kernels.eigvals(as_complex_matrix(x)))
 
 
 @dataclass

@@ -1,10 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from helpers import random_generic_matrix
 
-import ritzfiber.numcore as nc
 from ritzfiber.cli import matrix_doc, parse_coords_doc, parse_matrix_doc, run
 
 X0_DOC = {"n": 2, "entries": [[0, 1], [1, 0]]}
@@ -216,10 +216,23 @@ class TestExitCodes:
         assert run(["frobnicate"]) == 2
 
     def test_numerical_failure_maps_to_4(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(nc, "MAX_QR_SWEEPS", 0)
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
         path = write_doc(tmp_path, "x.json", X0_DOC)
         code, _, err = run_json(capsys, ["ritz", "--input", path])
         assert code == 4
+
+    def test_overflowing_spectrum_maps_to_4(self, tmp_path, capsys):
+        # the level-2 spectrum {0, 2e308} is not representable
+        doc = {"n": 2, "entries": [[1e308, 1e308], [1e308, 1e308]]}
+        path = write_doc(tmp_path, "x.json", doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_json(capsys, ["ritz", "--input", path])
+        assert code == 4 and out is None
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_outputs_reparse(self, tmp_path, capsys):
         rng = np.random.default_rng(1)

@@ -10,9 +10,12 @@ from helpers import (
 from ritzfiber import (
     FiberCoords,
     GenericityError,
+    NumericalError,
     RitzData,
     complement_c_from_b,
     diagonal_similarity_coords,
+    diagonalizer,
+    eigenvalues,
     extract_coords,
     reconstruct,
     s_coordinates,
@@ -21,6 +24,44 @@ from ritzfiber import (
 
 X0 = np.array([[0, 1], [1, 0]], dtype=complex)
 XS = np.array([[0, 0.5], [2, 0]], dtype=complex)
+
+
+class TestDiagonalizer:
+    def test_swap_matrix_plus(self):
+        g = diagonalizer(X0, [1.0, -1.0])
+        np.testing.assert_allclose(g[:, 0], [1, 1], atol=1e-10)
+
+    def test_swap_matrix_minus(self):
+        g = diagonalizer(X0, [-1.0, 1.0])
+        np.testing.assert_allclose(g[:, 0], [-1, 1], atol=1e-10)
+
+    def test_scalar(self):
+        np.testing.assert_allclose(diagonalizer(np.array([[2.0]]), [2.0]), [[1.0]])
+
+    @pytest.mark.parametrize("n", [2, 4, 7])
+    def test_residual_and_exact_last_entry(self, n):
+        rng = np.random.default_rng(n)
+        x = complex_randn(rng, n, n)
+        mus = eigenvalues(x)
+        g = diagonalizer(x, mus)
+        assert np.all(g[-1] == 1.0)
+        for mu, u in zip(mus, g.T):
+            res = np.linalg.norm(x @ u - mu * u)
+            assert res <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(u)
+
+    def test_vanishing_last_entry_is_genericity_violation(self):
+        # E(x_1) = {1} is shared with E(x_2), so the eigenvector for 1 ends in 0
+        x = np.diag([1.0, 2.0]).astype(complex)
+        with pytest.raises(GenericityError):
+            diagonalizer(x, [1.0, 2.0])
+
+    def test_order_must_match_one_to_one(self):
+        with pytest.raises(NumericalError):
+            diagonalizer(X0, [1.0, 1.0])
+
+    def test_non_eigenvalue_fails_residual_bound(self):
+        with pytest.raises(NumericalError):
+            diagonalizer(X0, [-1.0, 1.5])
 
 
 class TestExtractCoords:

@@ -2,15 +2,12 @@ import numpy as np
 import pytest
 from helpers import complex_randn
 
-import ritzfiber.numcore as nc
 from ritzfiber import (
-    GenericityError,
     MonicPoly,
     NumericalError,
     Tolerances,
     charpoly_from_eigs,
     eigenvalues,
-    eigvec_last_one,
     leading_submatrix,
     numeric_rank,
     poly_derivative,
@@ -104,36 +101,17 @@ class TestEigenvalues:
         assert np.max(np.abs(np.sort_complex(again) - np.sort_complex(eigs))) < 1e-8
 
     def test_nonconvergence_raises(self, monkeypatch):
-        monkeypatch.setattr(nc, "MAX_QR_SWEEPS", 0)
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
         with pytest.raises(NumericalError):
             eigenvalues(X0)
 
-
-class TestEigvecLastOne:
-    def test_swap_matrix_plus(self):
-        np.testing.assert_allclose(eigvec_last_one(X0, 1.0), [1, 1], atol=1e-10)
-
-    def test_swap_matrix_minus(self):
-        np.testing.assert_allclose(eigvec_last_one(X0, -1.0), [-1, 1], atol=1e-10)
-
-    def test_scalar(self):
-        np.testing.assert_allclose(eigvec_last_one(np.array([[2.0]]), 2.0), [1.0])
-
-    @pytest.mark.parametrize("n", [2, 4, 7])
-    def test_residual_and_exact_last_entry(self, n):
-        rng = np.random.default_rng(n)
-        x = complex_randn(rng, n, n)
-        for mu in eigenvalues(x):
-            u = eigvec_last_one(x, mu)
-            assert u[-1] == 1.0
-            res = np.linalg.norm(x @ u - mu * u)
-            assert res <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(u)
-
-    def test_vanishing_last_entry_is_genericity_violation(self):
-        # E(x_1) = {1} is shared with E(x_2), so the eigenvector for 1 ends in 0
-        x = np.diag([1.0, 2.0]).astype(complex)
-        with pytest.raises(GenericityError):
-            eigvec_last_one(x, 1.0)
+    def test_overflow_raises(self):
+        # the true spectrum {0, 2e308} overflows double precision
+        with pytest.raises(NumericalError):
+            eigenvalues(np.full((2, 2), 1e308))
 
 
 class TestPolynomials:
