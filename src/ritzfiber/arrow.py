@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, SpectralCollisionError
-from .numcore import DEFAULT_TOL, as_complex_vector
+from .numcore import DEFAULT_TOL, as_complex_vector, derivative_at_roots, min_gap
 
 # relative bound on the factorization reconstruction residual
 FACTOR_RESIDUAL_REL = 1e-8
@@ -76,6 +76,22 @@ def _collision_scale(*groups):
     return top if top > 0.0 else 1.0
 
 
+def _require_apart(gap, thr, message):
+    if gap <= thr:
+        raise SpectralCollisionError(message)
+
+
+def _sigma(mus, nxt):
+    """Check-free Sigma_m = -P_{m+1}(Lam_m) / P_m'(Lam_m) on validated levels."""
+    return -np.prod(mus[:, None] - nxt[None, :], axis=1) / derivative_at_roots(mus)
+
+
+def _pi(d, lam):
+    """Check-free Pi_j = 1 + sum_i Sigma(d, lam)_i / (d_i - lam_j)^2 on
+    validated, mutually disjoint d and lam (all ones for an empty d)."""
+    return 1.0 + _sigma(d, lam) @ (1.0 / (d[:, None] - lam[None, :])) ** 2
+
+
 def cauchy_matrix(d, lam, tol=DEFAULT_TOL):
     """Matrix with entries 1 / (d_i - lam_j).
 
@@ -84,27 +100,10 @@ def cauchy_matrix(d, lam, tol=DEFAULT_TOL):
     """
     d = as_complex_vector(d)
     lam = as_complex_vector(lam)
-    diff = d[:, None] - lam[None, :]
     thr = tol.coincide_rel * _collision_scale(d, lam)
-    if diff.size and np.min(np.abs(diff)) <= thr:
-        raise SpectralCollisionError(
-            "Cauchy matrix parameters collide: some |d_i - lam_j| is below "
-            f"{thr:.3e}"
-        )
-    return 1.0 / diff
-
-
-def _check_level_genericity(r, m, tol):
-    thr = tol.coincide_rel * r.scale()
-    mus = r.level(m)
-    nxt = r.level(m + 1)
-    gaps = np.abs(mus[:, None] - mus[None, :])[~np.eye(m, dtype=bool)]
-    if m > 1 and float(np.min(gaps)) <= thr:
-        raise SpectralCollisionError(f"(G1_{m}) fails: level {m} has a repeated eigenvalue")
-    if float(np.min(np.abs(mus[:, None] - nxt[None, :]))) <= thr:
-        raise SpectralCollisionError(
-            f"(G2_{m}) fails: levels {m} and {m + 1} share an eigenvalue"
-        )
+    msg = f"Cauchy matrix parameters collide: some |d_i - lam_j| is below {thr:.3e}"
+    _require_apart(min_gap(d, lam), thr, msg)
+    return 1.0 / (d[:, None] - lam[None, :])
 
 
 def sigma_matrix(r, m, tol=DEFAULT_TOL):
@@ -115,15 +114,14 @@ def sigma_matrix(r, m, tol=DEFAULT_TOL):
     """
     if not 1 <= m <= r.n - 1:
         raise ValueError(f"level m={m} out of range 1..{r.n - 1}")
-    _check_level_genericity(r, m, tol)
+    thr = tol.coincide_rel * r.scale()
     mus = r.level(m)
     nxt = r.level(m + 1)
-    out = np.empty(m, dtype=np.complex128)
-    for i in range(m):
-        num = np.prod(mus[i] - nxt)
-        den = np.prod(mus[i] - np.delete(mus, i)) if m > 1 else 1.0
-        out[i] = -num / den
-    return out
+    _require_apart(min_gap(mus), thr, f"(G1_{m}) fails: level {m} has a repeated eigenvalue")
+    _require_apart(
+        min_gap(mus, nxt), thr, f"(G2_{m}) fails: levels {m} and {m + 1} share an eigenvalue"
+    )
+    return _sigma(mus, nxt)
 
 
 def bc_product(r, m, tol=DEFAULT_TOL):
@@ -146,21 +144,10 @@ def pi_matrix(d, lam, tol=DEFAULT_TOL):
     """
     d = as_complex_vector(d)
     lam = as_complex_vector(lam)
-    if len(d) == 0:
-        return np.ones(len(lam), dtype=np.complex128)
     thr = tol.coincide_rel * _collision_scale(d, lam)
-    if len(d) > 1:
-        gaps = np.abs(d[:, None] - d[None, :])[~np.eye(len(d), dtype=bool)]
-        if float(np.min(gaps)) <= thr:
-            raise SpectralCollisionError("pi_matrix requires pairwise distinct d")
-    if float(np.min(np.abs(d[:, None] - lam[None, :]))) <= thr:
-        raise SpectralCollisionError("pi_matrix requires d and lam disjoint")
-    out = np.ones(len(lam), dtype=np.complex128)
-    for i in range(len(d)):
-        num = np.prod(d[i] - lam)
-        den = np.prod(d[i] - np.delete(d, i)) if len(d) > 1 else 1.0
-        out -= num / ((lam - d[i]) ** 2 * den)
-    return out
+    _require_apart(min_gap(d), thr, "pi_matrix requires pairwise distinct d")
+    _require_apart(min_gap(d, lam), thr, "pi_matrix requires d and lam disjoint")
+    return _pi(d, lam)
 
 
 def arrow_factorize(a, lam, tol=DEFAULT_TOL):
@@ -177,16 +164,13 @@ def arrow_factorize(a, lam, tol=DEFAULT_TOL):
     if len(lam) != m + 1:
         raise ValueError(f"spectrum must have {m + 1} values, got {len(lam)}")
     thr = tol.coincide_rel * _collision_scale(a.d, lam)
-    if len(lam) > 1:
-        gaps = np.abs(lam[:, None] - lam[None, :])[~np.eye(len(lam), dtype=bool)]
-        if float(np.min(gaps)) <= thr:
-            raise SpectralCollisionError(
-                "arrow spectrum has a repeated eigenvalue; factorization rejected"
-            )
-    cau = cauchy_matrix(a.d, lam, tol)  # also enforces d vs lam disjointness
-    pi = pi_matrix(a.d, lam, tol)
+    _require_apart(
+        min_gap(lam), thr, "arrow spectrum has a repeated eigenvalue; factorization rejected"
+    )
+    cau = cauchy_matrix(a.d, lam, tol)  # enforces d vs lam disjointness
+    _require_apart(min_gap(a.d), thr, "arrow diagonal d has a repeated entry")
     z_inv = np.vstack([-a.p[:, None] * cau, np.ones((1, m + 1))])
-    fact = ArrowFactorization(lam.copy(), z_inv, pi)
+    fact = ArrowFactorization(lam.copy(), z_inv, _pi(a.d, lam))
     dense = a.to_dense()
     recon = (z_inv * lam[None, :]) @ fact.z()
     residual = np.linalg.norm(recon - dense)

@@ -3,8 +3,9 @@
 Documents are UTF-8 JSON.  A matrix document has keys ``n`` and ``entries``
 (n rows of n entries, each a real number or an [re, im] pair); a coordinates
 document has keys ``ritz`` (levels 1..n of [re, im] pairs, ordering
-significant) and ``b`` (vectors of lengths 1..n-1).  All numbers are printed
-with 17 significant digits so emitted documents re-parse bit-faithfully.
+significant) and ``b`` (vectors of lengths 1..n-1).  Numbers are printed as
+Python's shortest round-tripping float repr, so documents re-parse
+bit-faithfully.
 
 Exit codes: 0 success, 2 argument/parse error, 3 genericity violation,
 4 numerical failure.
@@ -40,7 +41,7 @@ from .gzflow import (
     gz_generator_indices,
     poisson_bracket,
 )
-from .numcore import MonicPoly, Tolerances, as_complex_matrix, canonical_sort
+from .numcore import DEFAULT_TOL, MonicPoly, Tolerances, as_complex_matrix, canonical_sort
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -53,14 +54,15 @@ EXIT_NUMERICAL = 4
 # ---------------------------------------------------------------------------
 
 
+def _is_number(value):
+    # bool is a subclass of int, but JSON true/false are not numbers
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_complex(value, where):
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
-    ):
+    if isinstance(value, list) and len(value) == 2 and all(map(_is_number, value)):
         return complex(value[0], value[1])
     raise ValueError(f"{where}: expected a number or an [re, im] pair, got {value!r}")
 
@@ -74,7 +76,7 @@ def parse_matrix_doc(doc):
         raise ValueError("matrix document must be an object with an 'entries' key")
     entries = doc["entries"]
     n = doc.get("n", len(entries))
-    if not isinstance(entries, list) or len(entries) != n:
+    if not isinstance(entries, list) or not _is_number(n) or len(entries) != n:
         raise ValueError(f"matrix document must have n={n} rows")
     rows = []
     for i, row in enumerate(entries):
@@ -128,28 +130,6 @@ def coords_doc(fc, extra=None):
     return doc
 
 
-def _emit_json(obj):
-    """Serialize with floats at 17 significant digits."""
-    if isinstance(obj, np.bool_):
-        obj = bool(obj)
-    elif isinstance(obj, np.integer):
-        obj = int(obj)
-    elif isinstance(obj, np.floating):
-        obj = float(obj)
-    if isinstance(obj, dict):
-        inner = ", ".join(f"{json.dumps(k)}: {_emit_json(v)}" for k, v in obj.items())
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_emit_json(v) for v in obj) + "]"
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (str, int)):
-        return json.dumps(obj)
-    if isinstance(obj, float):
-        if not np.isfinite(obj):
-            raise ValueError("cannot emit non-finite number")
-        return format(obj, ".17g")
-    raise TypeError(f"cannot emit {type(obj)!r}")
-
-
 # ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------
@@ -158,9 +138,12 @@ def _emit_json(obj):
 def _common_flags(p):
     p.add_argument("--input", metavar="FILE", help="input document (default: stdin)")
     p.add_argument("--output", metavar="FILE", help="output document (default: stdout)")
-    p.add_argument("--tol-eig", type=float, default=1e-10, help="relative eigenvalue accuracy")
-    p.add_argument("--tol-coincide", type=float, default=1e-8, help="eigenvalue coincidence threshold")
-    p.add_argument("--tol-rank", type=float, default=1e-10, help="rank decision threshold")
+    p.add_argument("--tol-eig", type=float, default=DEFAULT_TOL.eig_rel,
+                   help="relative eigenvalue accuracy")
+    p.add_argument("--tol-coincide", type=float, default=DEFAULT_TOL.coincide_rel,
+                   help="eigenvalue coincidence threshold")
+    p.add_argument("--tol-rank", type=float, default=DEFAULT_TOL.rank_rel,
+                   help="rank decision threshold")
 
 
 def build_parser():
@@ -221,14 +204,17 @@ def _tol(args):
 
 
 def _read_doc(args):
-    if args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.load(sys.stdin)
+    try:
+        if args.input:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                return json.load(fh)
+        return json.load(sys.stdin)
+    except RecursionError:
+        raise ValueError("document is nested too deeply to parse") from None
 
 
 def _write_doc(args, doc):
-    text = _emit_json(doc) + "\n"
+    text = json.dumps(doc, allow_nan=False) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -238,9 +224,12 @@ def _write_doc(args, doc):
 
 def _parse_complex_token(token, what):
     try:
-        return complex(token)
+        z = complex(token)
     except ValueError:
         raise ValueError(f"{what}: cannot parse complex number from {token!r}") from None
+    if not np.isfinite(z):
+        raise ValueError(f"{what}: {token!r} is not finite")
+    return z
 
 
 def _ritz_drift(before, after):

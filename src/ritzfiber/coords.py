@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .arrow import cauchy_matrix, pi_matrix, sigma_matrix
+from .arrow import _pi, _sigma, sigma_matrix
 from .errors import GenericityError, NumericalError
 from .fiber import RitzData, require_generic, ritz_values
 from .numcore import DEFAULT_TOL, as_complex_matrix, as_complex_vector
@@ -152,18 +152,19 @@ def reconstruct(fc, tol=DEFAULT_TOL):
     """Rebuild the unique generic matrix with the given coordinates.
 
     Runs the eigenvector recurrence level by level and returns
-    x = g_n Lam_n g_n^{-1}.  A spectral collision in a Cauchy step surfaces
-    as a genericity error.
+    x = g_n Lam_n g_n^{-1}.  One genericity gate up front covers every level
+    (its global threshold is at least each level's local one), so the Sigma
+    and Cauchy factors need no further checks.
     """
     require_generic(fc.ritz, tol)
     _validate_b_nonzero(fc, tol)
     r = fc.ritz
     g = np.ones((1, 1), dtype=np.complex128)
     for m in range(1, r.n):
+        mus, nxt = r.level(m), r.level(m + 1)
         # P_{m+1}(Lam_m) P_m'(Lam_m)^{-1} diag(b_m)^{-1} = -Sigma_m / b_m
-        w = -sigma_matrix(r, m, tol) / fc.b[m - 1]
-        cau = cauchy_matrix(r.level(m), r.level(m + 1), tol)
-        top = g @ (w[:, None] * cau)
+        w = -_sigma(mus, nxt) / fc.b[m - 1]
+        top = g @ (w[:, None] / (mus[:, None] - nxt[None, :]))
         g = np.vstack([top, np.ones((1, m + 1), dtype=np.complex128)])
     lam = r.level(r.n)
     return np.linalg.solve(g.T, (g * lam[None, :]).T).T
@@ -184,18 +185,16 @@ def transpose_coords(fc, tol=DEFAULT_TOL):
 
     Pi_m is the row/column eigenvector pairing of level m over level m-1
     (all ones for m = 1); both factors depend only on the Ritz values, so the
-    transform is an involution on each fibre.
+    transform is an involution on each fibre.  One genericity gate covers all.
     """
     require_generic(fc.ritz, tol)
     _validate_b_nonzero(fc, tol)
-    r = fc.ritz
-    new_b = []
-    for m in range(1, r.n):
-        prev = r.level(m - 1) if m > 1 else np.zeros(0, dtype=np.complex128)
-        pi = pi_matrix(prev, r.level(m), tol)
-        sig = sigma_matrix(r, m, tol)
-        new_b.append(pi * sig / fc.b[m - 1])
-    return FiberCoords(RitzData([lev.copy() for lev in r.levels]), new_b)
+    levels = [np.zeros(0, dtype=np.complex128)] + fc.ritz.levels  # levels[m] = Lam_m
+    new_b = [
+        _pi(levels[m - 1], levels[m]) * _sigma(levels[m], levels[m + 1]) / fc.b[m - 1]
+        for m in range(1, fc.ritz.n)
+    ]
+    return FiberCoords(RitzData([lev.copy() for lev in fc.ritz.levels]), new_b)
 
 
 def diagonal_similarity_coords(fc, d, tol=DEFAULT_TOL):

@@ -18,7 +18,7 @@ from .numcore import (
     as_complex_matrix,
     charpoly_from_eigs,
     eigenvalues,
-    leading_submatrix,
+    min_gap,
     numeric_rank,
     poly_quotient_in_basis,
 )
@@ -106,22 +106,14 @@ class FiberDescriptor:
 
 
 def ritz_values(x, tol=DEFAULT_TOL):
-    """Ritz values of x; every level is sorted in the canonical order."""
+    """Ritz values of x; every level is sorted in the canonical order.
+
+    The whole of x is validated once; each level then costs one eigenvalues
+    call on its m x m leading block.
+    """
     x = as_complex_matrix(x)
     n = x.shape[0]
-    return RitzData([eigenvalues(leading_submatrix(x, m), tol) for m in range(1, n + 1)])
-
-
-def _min_gap_within(values):
-    m = len(values)
-    if m < 2:
-        return np.inf
-    gaps = np.abs(values[:, None] - values[None, :])
-    return float(np.min(gaps[~np.eye(m, dtype=bool)]))
-
-
-def _min_gap_between(a, b):
-    return float(np.min(np.abs(a[:, None] - b[None, :])))
+    return RitzData([eigenvalues(x[:m, :m], tol) for m in range(1, n + 1)])
 
 
 def genericity_report(r, tol=DEFAULT_TOL):
@@ -132,20 +124,13 @@ def genericity_report(r, tol=DEFAULT_TOL):
     compare values from different levels.
     """
     thr = tol.coincide_rel * r.scale()
-    grey = GREY_ZONE_FACTOR * thr
-    g1 = []
-    g2 = []
-    min_gap = np.inf
-    for m in range(1, r.n + 1):
-        gap = _min_gap_within(r.level(m))
-        g1.append(gap > thr)
-        min_gap = min(min_gap, gap)
-    for m in range(1, r.n):
-        gap = _min_gap_between(r.level(m), r.level(m + 1))
-        g2.append(gap > thr)
-        min_gap = min(min_gap, gap)
+    within = [min_gap(lev) for lev in r.levels]
+    between = [min_gap(lo, hi) for lo, hi in zip(r.levels, r.levels[1:])]
+    g1 = [gap > thr for gap in within]
+    g2 = [gap > thr for gap in between]
     generic = all(g1) and all(g2)
-    return GenericityReport(g1, g2, generic, generic and min_gap <= grey)
+    in_grey_zone = min(within + between) <= GREY_ZONE_FACTOR * thr
+    return GenericityReport(g1, g2, generic, generic and in_grey_zone)
 
 
 def require_generic(r, tol=DEFAULT_TOL):

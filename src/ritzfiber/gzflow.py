@@ -46,10 +46,13 @@ _THETA13 = 5.371920351148152
 
 
 def expm(a):
-    """Matrix exponential by scaling and squaring with a Pade-13 core."""
+    """Matrix exponential by scaling and squaring with a Pade-13 core; an
+    overflowing 1-norm raises NumericalError."""
     a = as_complex_matrix(a)
     n = a.shape[0]
     norm = float(np.linalg.norm(a, 1))
+    if not np.isfinite(norm):
+        raise NumericalError("matrix exponential overflows: the 1-norm is not finite")
     squarings = 0
     if norm > _THETA13:
         squarings = int(np.ceil(np.log2(norm / _THETA13)))
@@ -97,10 +100,17 @@ def _embed(top, n):
     return full
 
 
+def _finite(a):
+    """a itself; NumericalError when a flow overflowed to inf or nan."""
+    if not np.all(np.isfinite(a)):
+        raise NumericalError("flow overflowed: the result is not finite")
+    return a
+
+
 def gz_flow(x, p):
     """Time-q flow of tr((x_m)^k): conjugation by exp(-q k x_m^{k-1}) (+) I.
 
-    Preserves every Ritz level as a multiset.
+    Preserves every Ritz level as a multiset; overflow raises NumericalError.
     """
     x = as_complex_matrix(x)
     n = x.shape[0]
@@ -108,10 +118,11 @@ def gz_flow(x, p):
         raise ValueError("gz_flow expects a FlowParam")
     if p.m > n - 1:
         raise ValueError(f"level m={p.m} out of range 1..{n - 1}")
-    power = np.linalg.matrix_power(x[: p.m, : p.m], p.k - 1)
-    fwd = _embed(expm(-p.q * p.k * power), n)
-    bwd = _embed(expm(p.q * p.k * power), n)
-    return fwd @ x @ bwd
+    with np.errstate(all="ignore"):
+        gen = _finite(p.q * p.k * np.linalg.matrix_power(x[: p.m, : p.m], p.k - 1))
+        fwd = _embed(expm(-gen), n)
+        bwd = _embed(expm(gen), n)
+        return _finite(fwd @ x @ bwd)
 
 
 def gz_vector_field(x, m, k):
@@ -161,7 +172,8 @@ def level_flow(x, m, qs, tol=DEFAULT_TOL):
     """All m per-eigenvalue flows of level m applied at once.
 
     One conjugation by g_m diag(e^{q_1}, ..., e^{q_m}) g_m^{-1} (+) I; equal
-    to composing the individual eigen_flows of the level in any order.
+    to composing the individual eigen_flows of the level in any order;
+    overflow raises NumericalError.
     """
     x = as_complex_matrix(x)
     n = x.shape[0]
@@ -174,10 +186,11 @@ def level_flow(x, m, qs, tol=DEFAULT_TOL):
     require_generic(r, tol)
     g = diagonalizer(x[:m, :m], r.level(m), tol)
     ginv = np.linalg.solve(g, np.eye(m, dtype=np.complex128))
-    dvec = np.exp(qs)
-    fwd = _embed(g @ (dvec[:, None] * ginv), n)
-    bwd = _embed(g @ ((1.0 / dvec)[:, None] * ginv), n)
-    return fwd @ x @ bwd
+    with np.errstate(all="ignore"):
+        dvec = np.exp(qs)
+        fwd = _embed(g @ (dvec[:, None] * ginv), n)
+        bwd = _embed(g @ ((1.0 / dvec)[:, None] * ginv), n)
+        return _finite(fwd @ x @ bwd)
 
 
 def centralizer_basis(x, m, tol=DEFAULT_TOL):

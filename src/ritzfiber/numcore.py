@@ -84,6 +84,24 @@ def eigenvalues(x, tol=DEFAULT_TOL):
     return canonical_sort(_kernels.eigvals(as_complex_matrix(x)))
 
 
+def min_gap(a, b=None):
+    """Smallest |a_i - b_j|, or |a_i - a_k| over i != k when b is omitted;
+    inf when there is no pair.  Every disjointness check uses it."""
+    if b is None:
+        diff = np.abs(a[:, None] - a[None, :])
+        np.fill_diagonal(diff, np.inf)
+    else:
+        diff = np.abs(a[:, None] - b[None, :])
+    return float(np.min(diff)) if diff.size else np.inf
+
+
+def derivative_at_roots(v):
+    """P'(v_i) = prod_{k != i}(v_i - v_k) for the monic P with roots v."""
+    diff = v[:, None] - v[None, :]
+    np.fill_diagonal(diff, 1.0)
+    return np.prod(diff, axis=1)
+
+
 @dataclass
 class MonicPoly:
     """Monic polynomial c_0 + c_1 l + ... + c_{d-1} l^{d-1} + l^d.

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from helpers import random_generic_matrix
 
+from ritzfiber import ritz_values
 from ritzfiber.cli import matrix_doc, parse_coords_doc, parse_matrix_doc, run
 
 X0_DOC = {"n": 2, "entries": [[0, 1], [1, 0]]}
@@ -95,6 +96,9 @@ class TestCoordsReconstruct:
         # the document itself reparses bit-faithfully
         again = parse_matrix_doc(json.loads(json.dumps(matrix_doc(x))))
         assert np.array_equal(again, x)
+        # and the emitted Ritz values carry exactly the bits computed
+        emitted = [np.array([complex(*v) for v in lev]) for lev in doc["ritz"]]
+        assert all(map(np.array_equal, emitted, ritz_values(x).levels))
 
 
 class TestFlow:
@@ -118,6 +122,24 @@ class TestFlow:
         assert code == 0
         y = parse_matrix_doc(doc)
         np.testing.assert_allclose(y[1, 0], np.exp(-(1 + 0.5j)), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "flags", [["--m", "1", "--k", "1", "--q", "800"], ["--j", "2", "--q", "800"]]
+    )
+    def test_overflow_maps_to_4(self, flags, tmp_path, capsys):
+        doc = {"n": 3, "entries": [[1, 2, 3], [4, 5, 6], [7, 8, 10]]}
+        path = write_doc(tmp_path, "x.json", doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_json(capsys, ["flow", "--input", path, *flags])
+        assert code == 4 and out is None
+        assert err.startswith("error:") and err.count("error:") == 1
+
+    @pytest.mark.parametrize("q", ["nan", "inf"])
+    def test_non_finite_time_is_usage_error(self, q, tmp_path, capsys):
+        path = write_doc(tmp_path, "x.json", X0_DOC)
+        code, out, err = run_json(capsys, ["flow", "--input", path, "--j", "1", "--q", q])
+        assert code == 2 and out is None and "not finite" in err
 
     def test_conflicting_flags(self, tmp_path, capsys):
         path = write_doc(tmp_path, "x.json", X0_DOC)
@@ -211,6 +233,21 @@ class TestExitCodes:
         path = write_doc(tmp_path, "x.json", {"n": 2, "entries": [[1, 2, 3], [4, 5, 6]]})
         code, _, _ = run_json(capsys, ["ritz", "--input", path])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "doc", [{"n": 2, "entries": [[True, 0], [0, 2]]}, {"n": True, "entries": [[5]]}]
+    )
+    def test_boolean_is_not_a_number(self, doc, tmp_path, capsys):
+        path = write_doc(tmp_path, "x.json", doc)
+        code, out, err = run_json(capsys, ["ritz", "--input", path])
+        assert code == 2 and out is None and err.startswith("error:")
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000, encoding="utf-8")
+        code, out, err = run_json(capsys, ["ritz", "--input", str(path)])
+        assert code == 2 and out is None
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 2

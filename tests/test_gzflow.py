@@ -11,6 +11,7 @@ from ritzfiber import (
     FlowParam,
     GenericityError,
     NotRegularError,
+    NumericalError,
     centralizer_basis,
     eigen_flow,
     expm,
@@ -78,6 +79,15 @@ class TestGzFlow:
         once = gz_flow(gz_flow(x, FlowParam(2, 2, s)), FlowParam(2, 2, t))
         both = gz_flow(x, FlowParam(2, 2, s + t))
         assert np.max(np.abs(once - both)) < 1e-8 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("q", [800.0, 1e308, 5e306])
+    def test_overflow_raises(self, q):
+        # 800: exp overflows; 1e308: the generator overflows; 5e306: the
+        # generator is finite but its 1-norm is not
+        x = np.ones((4, 4), dtype=complex)
+        x[:3, :3] = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
+        with pytest.raises(NumericalError):
+            gz_flow(x, FlowParam(3, 2, q))
 
     def test_bounds(self):
         with pytest.raises(ValueError):
