@@ -8,10 +8,15 @@ the s-coordinate vector by e^{-q} and leaves the rest untouched.
 
 The module also carries an exact sparse polynomial algebra in the matrix
 entry functionals a_ij with the bracket {a_ij, a_kl} = d_jk a_il - d_il a_kj,
-used to certify the commutativity of the trace generators symbolically.
+used to certify the commutativity of the trace generators symbolically.  A
+monomial is keyed by the sorted tuple of its (i, j) variables, one entry per
+power; a coefficient is an exact Gaussian rational (re, im) held as Python
+ints, promoted to Fraction only by a non-integral input, so the integer
+certificate never builds a Fraction.
 """
 
 import itertools
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -230,33 +235,74 @@ def centralizer_basis(x, m, tol=DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 
 
+def _exact(part, coeff):
+    """One real part of coeff as an int when integral, else a Fraction."""
+    if isinstance(part, int):
+        return int(part)
+    try:
+        q = Fraction(part)
+    except (OverflowError, TypeError, ValueError):
+        raise ValueError(
+            f"coefficient {coeff!r} is not a finite rational-complex number"
+        ) from None
+    return int(q.numerator) if q.denominator == 1 else q
+
+
 def _frac_complex(value):
-    """Exact rational-complex coefficient as a (Fraction, Fraction) pair."""
-    if isinstance(value, tuple):
-        return value
-    if isinstance(value, complex):
-        return (Fraction(value.real), Fraction(value.imag))
-    return (Fraction(value), Fraction(0))
+    """Exact rational-complex coefficient as an (re, im) pair; a non-finite
+    or non-numeric value raises ValueError."""
+    if isinstance(value, tuple) and len(value) == 2:
+        re, im = value
+    elif isinstance(value, complex):
+        re, im = value.real, value.imag
+    else:
+        re, im = value, 0
+    return (_exact(re, value), _exact(im, value))
 
 
-def _fc_add(a, b):
-    return (a[0] + b[0], a[1] + b[1])
+def _from_terms(n, terms):
+    """SparsePoly over a dict of valid keys and nonzero coefficients."""
+    out = SparsePoly(n)
+    out.terms = terms
+    return out
 
 
-def _fc_mul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+def _add_into(terms, items):
+    """Accumulate (key, nonzero coefficient) items into terms in place,
+    dropping every key whose coefficient cancels."""
+    for key, (re, im) in items:
+        old = terms.get(key)
+        if old is not None:
+            re += old[0]
+            im += old[1]
+            if not (re or im):
+                del terms[key]
+                continue
+        terms[key] = (re, im)
 
 
-def _fc_is_zero(a):
-    return a[0] == 0 and a[1] == 0
+def _product_items(t1, t2):
+    """(key, coefficient) items of the product of two term dicts; products
+    of nonzero coefficients are nonzero."""
+    for k1, (a, b) in t1.items():
+        for k2, (c, d) in t2.items():
+            yield tuple(sorted(k1 + k2)), (a * c - b * d, a * d + b * c)
+
+
+def _powers(key):
+    """Exponent form ((var, power), ...) of a monomial key."""
+    return tuple((var, len(list(run))) for var, run in itertools.groupby(key))
 
 
 class SparsePoly:
     """Polynomial in the entry functionals a_ij of an n x n matrix.
 
-    Terms map a sorted tuple of ((i, j), power) pairs to an exact
-    rational-complex coefficient; zero coefficients are never stored, so
-    equality with zero is exact.
+    Terms map a monomial key to its coefficient.  A key is the sorted tuple
+    of the (i, j) variables of the monomial, each repeated as often as its
+    power: a11^2 a12 is ((1, 1), (1, 1), (1, 2)) and a constant is ().  A
+    coefficient is an exact (re, im) pair; each part is an int, and becomes
+    a Fraction only once a non-integral value enters its arithmetic.  Zero
+    coefficients are never stored, so equality with zero is exact.
     """
 
     __slots__ = ("n", "terms")
@@ -266,9 +312,26 @@ class SparsePoly:
         self.terms = {}
         if terms:
             for key, coeff in terms.items():
+                self._check_key(key)
                 coeff = _frac_complex(coeff)
-                if not _fc_is_zero(coeff):
+                if coeff != (0, 0):
                     self.terms[key] = coeff
+
+    def _check_key(self, key):
+        n = self.n
+        if not (
+            isinstance(key, tuple)
+            and all(
+                isinstance(var, tuple) and len(var) == 2
+                and all(isinstance(t, int) and 1 <= t <= n for t in var)
+                for var in key
+            )
+            and all(key[t] <= key[t + 1] for t in range(len(key) - 1))
+        ):
+            raise ValueError(
+                f"monomial key {key!r} is not a sorted tuple of (i, j) with "
+                f"1 <= i, j <= {n}"
+            )
 
     @classmethod
     def zero(cls, n):
@@ -283,7 +346,7 @@ class SparsePoly:
         """The linear functional a_ij, 1-based indices."""
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"indices ({i}, {j}) out of range 1..{n}")
-        return cls(n, {(((i, j), 1),): 1})
+        return cls(n, {((i, j),): 1})
 
     def is_zero(self):
         return not self.terms
@@ -297,20 +360,11 @@ class SparsePoly:
             other = SparsePoly.constant(self.n, other)
         self._check_same_n(other)
         terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = _fc_add(terms.get(key, (Fraction(0), Fraction(0))), coeff)
-            if _fc_is_zero(acc):
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
-        out = SparsePoly(self.n)
-        out.terms = terms
-        return out
+        _add_into(terms, other.terms.items())
+        return _from_terms(self.n, terms)
 
     def __neg__(self):
-        out = SparsePoly(self.n)
-        out.terms = {k: (-c[0], -c[1]) for k, c in self.terms.items()}
-        return out
+        return _from_terms(self.n, {k: (-c[0], -c[1]) for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, SparsePoly):
@@ -322,22 +376,8 @@ class SparsePoly:
             other = SparsePoly.constant(self.n, other)
         self._check_same_n(other)
         terms = {}
-        for k1, c1 in self.terms.items():
-            e1 = dict(k1)
-            for k2, c2 in other.terms.items():
-                merged = dict(e1)
-                for var, p in k2:
-                    merged[var] = merged.get(var, 0) + p
-                key = tuple(sorted(merged.items()))
-                coeff = _fc_mul(c1, c2)
-                acc = _fc_add(terms.get(key, (Fraction(0), Fraction(0))), coeff)
-                if _fc_is_zero(acc):
-                    terms.pop(key, None)
-                else:
-                    terms[key] = acc
-        out = SparsePoly(self.n)
-        out.terms = terms
-        return out
+        _add_into(terms, _product_items(self.terms, other.terms))
+        return _from_terms(self.n, terms)
 
     __rmul__ = __mul__
     __radd__ = __add__
@@ -354,46 +394,28 @@ class SparsePoly:
 
     def variables(self):
         """Set of (i, j) index pairs that actually occur."""
-        seen = set()
-        for key in self.terms:
-            for var, _ in key:
-                seen.add(var)
-        return seen
+        return set().union(*self.terms)
 
     def partial(self, i, j):
         """Partial derivative with respect to a_ij."""
         var = (i, j)
         terms = {}
-        for key, coeff in self.terms.items():
-            exps = dict(key)
-            p = exps.get(var, 0)
-            if p == 0:
-                continue
-            new_exps = dict(exps)
-            if p == 1:
-                del new_exps[var]
-            else:
-                new_exps[var] = p - 1
-            new_key = tuple(sorted(new_exps.items()))
-            scaled = _fc_mul(coeff, (Fraction(p), Fraction(0)))
-            acc = _fc_add(terms.get(new_key, (Fraction(0), Fraction(0))), scaled)
-            if _fc_is_zero(acc):
-                terms.pop(new_key, None)
-            else:
-                terms[new_key] = acc
-        out = SparsePoly(self.n)
-        out.terms = terms
-        return out
+        for key, (re, im) in self.terms.items():
+            p = key.count(var)
+            if p:
+                # removing one a_ij maps distinct monomials to distinct keys
+                t = key.index(var)
+                terms[key[:t] + key[t + 1:]] = (p * re, p * im)
+        return _from_terms(self.n, terms)
 
     def __repr__(self):
         if not self.terms:
             return "0"
         parts = []
-        for key, coeff in sorted(self.terms.items()):
+        for powers, (re, im) in sorted((_powers(k), c) for k, c in self.terms.items()):
             factors = "".join(
-                f"a{i}{j}" + (f"^{p}" if p > 1 else "") for (i, j), p in key
+                f"a{i}{j}" + (f"^{p}" if p > 1 else "") for (i, j), p in powers
             )
-            re, im = coeff
             if im == 0:
                 cs = str(re)
             else:
@@ -406,29 +428,31 @@ def poisson_bracket(f, g):
     """Exact symbolic Poisson bracket of two entry polynomials.
 
     Expands {f, g} = sum over variable pairs of
-    (d_jk a_il - d_il a_kj) * df/da_ij * dg/da_kl; only pairs with j = k or
-    i = l contribute.
+    (d_jk a_il - d_il a_kj) * df/da_ij * dg/da_kl, grouped by (i, j) as
+    sum_ij df/da_ij * X_ij with the Hamiltonian field of g
+    X_ij = sum_l a_il dg/da_jl - sum_k a_kj dg/da_ki.  The partials of g are
+    indexed by row and by column, so only pairs with j = k or i = l are
+    visited; each X_ij cancels before it is multiplied, and every product is
+    accumulated in place.
     """
     if not isinstance(f, SparsePoly) or not isinstance(g, SparsePoly):
         raise ValueError("poisson_bracket expects SparsePoly operands")
     f._check_same_n(g)
-    n = f.n
-    df = {v: f.partial(*v) for v in f.variables()}
-    dg = {v: g.partial(*v) for v in g.variables()}
-    out = SparsePoly.zero(n)
-    for (i, j), fij in df.items():
-        for (k, l), gkl in dg.items():
-            if j != k and i != l:
-                continue
-            bracket = SparsePoly.zero(n)
-            if j == k:
-                bracket = bracket + SparsePoly.variable(n, i, l)
-            if i == l:
-                bracket = bracket - SparsePoly.variable(n, k, j)
-            if bracket.is_zero():
-                continue
-            out = out + bracket * fij * gkl
-    return out
+    by_row = defaultdict(list)  # k -> [(l, terms of dg/da_kl)]
+    by_col = defaultdict(list)  # l -> [(k, terms of dg/da_kl)]
+    for k, l in g.variables():
+        dg = g.partial(k, l).terms
+        by_row[k].append((l, dg))
+        by_col[l].append((k, dg))
+    out = {}
+    for i, j in f.variables():
+        field = {}
+        for l, dg in by_row[j]:
+            _add_into(field, _product_items({((i, l),): (1, 0)}, dg))
+        for k, dg in by_col[i]:
+            _add_into(field, _product_items({((k, j),): (-1, 0)}, dg))
+        _add_into(out, _product_items(f.partial(i, j).terms, field))
+    return _from_terms(f.n, out)
 
 
 def gz_generator(n, m, k):
@@ -441,19 +465,11 @@ def gz_generator(n, m, k):
         raise ValueError(f"level m={m} out of range 1..{n}")
     if not 1 <= k <= m:
         raise ValueError(f"power k={k} out of range 1..{m}")
-    out = SparsePoly.zero(n)
-    one = (Fraction(1), Fraction(0))
-    terms = {}
-    for word in itertools.product(range(1, m + 1), repeat=k):
-        exps = {}
-        for t in range(k):
-            var = (word[t], word[(t + 1) % k])
-            exps[var] = exps.get(var, 0) + 1
-        key = tuple(sorted(exps.items()))
-        acc = _fc_add(terms.get(key, (Fraction(0), Fraction(0))), one)
-        terms[key] = acc
-    out.terms = {key: c for key, c in terms.items() if not _fc_is_zero(c)}
-    return out
+    counts = Counter(
+        tuple(sorted((word[t], word[(t + 1) % k]) for t in range(k)))
+        for word in itertools.product(range(1, m + 1), repeat=k)
+    )
+    return _from_terms(n, {key: (c, 0) for key, c in counts.items()})
 
 
 def gz_generator_indices(n):

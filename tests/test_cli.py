@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import re
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from helpers import random_generic_matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ritzfiber import ritz_values
 from ritzfiber.cli import matrix_doc, parse_coords_doc, parse_matrix_doc, run
@@ -279,3 +285,102 @@ class TestExitCodes:
         assert code == 0
         fc = parse_coords_doc(doc)  # schema round trip
         assert fc.ritz.n == 3
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every subcommand on malformed, truncated, mis-shaped and
+# non-finite input exits with a documented code and never a traceback
+# ---------------------------------------------------------------------------
+
+MATRIX_DOCS = [
+    {"n": 3, "entries": [[1, 2, 0], [0.5, -1, [1, 2]], [3, 0, 2]]},
+    {"n": 2, "entries": [[1, 0], [0, 1]]},
+    {"n": 2, "entries": [[1e308, 1e308], [1e308, 1e308]]},
+]
+RITZ_DOCS = [{"ritz": [[0], [-1, 1]]}]
+COORDS_DOCS = [{"ritz": [[[0, 0]], [[-1, 0], [1, 0]]], "b": [[[1, 0]]]}]
+SAMPLE_DOCS = {"hess": RITZ_DOCS, "reconstruct": COORDS_DOCS, "conj": COORDS_DOCS}
+# JSON tokens Python's parser accepts but no document may carry, and tokens
+# of the wrong type
+BAD_TOKENS = ["NaN", "Infinity", "-Infinity", "1e999", "true", "null", '"x"', "[]", "{}"]
+JSON_TREES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(min_value=-3, max_value=3),
+              st.floats(), st.sampled_from(["x", ""])),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.dictionaries(st.sampled_from(["n", "entries", "ritz", "b"]), kids, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@st.composite
+def documents(draw, command):
+    """JSON text: a random tree, or a sample document of the kind command
+    reads, as it is, truncated or with one number replaced by a bad token."""
+    kind = draw(st.sampled_from(["tree", "sample", "truncated", "token"]))
+    if kind == "tree":
+        return json.dumps(draw(JSON_TREES))
+    text = json.dumps(draw(st.sampled_from(SAMPLE_DOCS.get(command, MATRIX_DOCS))))
+    if kind == "sample":
+        return text
+    if kind == "truncated":
+        return text[: draw(st.integers(min_value=0, max_value=len(text)))]
+    number = draw(st.sampled_from(list(re.finditer(r"-?[0-9.]+", text))))
+    return text[: number.start()] + draw(st.sampled_from(BAD_TOKENS)) + text[number.end():]
+
+
+SMALL = st.sampled_from(["-1", "0", "1", "2", "3"])
+TOKENS = st.one_of(
+    st.sampled_from(["0.3", "1e-9", "1+2j", "2"]),
+    st.sampled_from(["-1", "0", "nan", "inf", "-inf", "1e999", "abc", ""]),
+)
+TOKEN_LISTS = st.lists(TOKENS, min_size=1, max_size=4).map(",".join)
+SUBCOMMAND_FLAGS = {
+    "ritz": st.just([]),
+    "check": st.just([]),
+    "hess": st.just([]),
+    "coords": st.just([]),
+    "reconstruct": st.just([]),
+    "flow": st.one_of(
+        st.builds(lambda m, k, q: ["--m", m, "--k", k, "--q", q], SMALL, SMALL, TOKENS),
+        st.builds(lambda j, q: ["--j", j, "--q", q], SMALL, TOKENS),
+    ),
+    "conj": st.one_of(st.just(["--transpose"]), TOKEN_LISTS.map(lambda d: ["--diag", d])),
+    "control": st.one_of(
+        st.sampled_from([["--row"], ["--col"], ["--regular"]]),
+        TOKEN_LISTS.map(lambda c: ["--complete", c]),
+    ),
+    "poisson": st.sampled_from(["0", "-1", "1", "2", "3"]).map(lambda n: ["--n", n]),
+}
+
+
+@st.composite
+def invocations(draw):
+    """(argv, stdin text) of one call."""
+    command = draw(st.sampled_from(sorted(SUBCOMMAND_FLAGS)))
+    argv = [command] + draw(SUBCOMMAND_FLAGS[command])
+    if draw(st.booleans()):
+        argv += [draw(st.sampled_from(["--tol-eig", "--tol-coincide", "--tol-rank"])),
+                 draw(TOKENS)]
+    return argv, draw(documents(command))
+
+
+def run_captured(argv, stdin_text):
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(call=invocations())
+def test_fuzz_exit_codes(call):
+    code, _, err = run_captured(*call)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err

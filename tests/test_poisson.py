@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,11 @@ class TestSparsePoly:
         p = var(2, 1, 1) - var(2, 1, 1)
         assert p.is_zero() and p == 0
 
+    def test_cancellation_of_one_part(self):
+        p = (1 + 1j) * var(2, 1, 1) - var(2, 1, 1)
+        assert not p.is_zero() and p == 1j * var(2, 1, 1)
+        assert (p - 1j * var(2, 1, 1)).is_zero()
+
     def test_exact_coefficients(self):
         p = SparsePoly.constant(2, Fraction(1, 3)) * 3
         assert p == SparsePoly.constant(2, 1)
@@ -26,6 +32,39 @@ class TestSparsePoly:
     def test_mixed_sizes_rejected(self):
         with pytest.raises(ValueError):
             var(2, 1, 1) + var(3, 1, 1)
+
+    @pytest.mark.parametrize(
+        "value", [float("inf"), float("-inf"), float("nan"), complex("nan+1j")]
+    )
+    def test_non_finite_coefficient_rejected(self, value):
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            SparsePoly.constant(2, value)
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            var(2, 1, 1) * value
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            ((5, 5),),  # out-of-range variable
+            ((1, 0),),
+            ((2, 1), (1, 1)),  # unsorted
+            (((1, 1), 1),),  # exponent form ((var, power), ...)
+            (((5, 5), 1),),
+            "a11",
+        ],
+    )
+    def test_invalid_key_rejected(self, key):
+        with pytest.raises(ValueError, match="monomial key"):
+            SparsePoly(2, {key: 1})
+
+    def test_flat_keys(self):
+        p = SparsePoly(2, {((1, 1), (1, 1), (1, 2)): 2, (): 1})
+        assert p == 2 * var(2, 1, 1) * var(2, 1, 1) * var(2, 1, 2) + 1
+        assert p.variables() == {(1, 1), (1, 2)}
+
+    def test_repr_orders_by_exponent_form(self):
+        v11, v12, v21 = var(3, 1, 1), var(3, 1, 2), var(3, 2, 1)
+        assert repr(v11 * v11 + v11 * v12 + 3 * v21) == "1*a11a12 + 1*a11^2 + 3*a21"
 
 
 class TestPoissonBracket:
@@ -116,6 +155,9 @@ class TestGzGenerator:
         with pytest.raises(ValueError):
             gz_generator(3, 2, 3)
 
+    def test_repr(self):
+        assert repr(gz_generator(3, 2, 2)) == "1*a11^2 + 2*a12a21 + 1*a22^2"
+
     def test_enumeration(self):
         assert gz_generator_indices(3) == [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
 
@@ -130,6 +172,16 @@ class TestCommutativity:
                 assert poisson_bracket(gens[a], gens[b]).is_zero()
                 pairs += 1
         assert pairs == 15
+
+    def test_all_pairs_n5(self):
+        gens = [gz_generator(5, m, k) for m, k in gz_generator_indices(5)]
+        assert len(gens) == 15
+        pairs = 0
+        for a in range(len(gens)):
+            for b in range(a + 1, len(gens)):
+                assert poisson_bracket(gens[a], gens[b]).is_zero()
+                pairs += 1
+        assert pairs == 105
 
     def test_sample_pairs_n4(self):
         for left, right in [((2, 2), (3, 3)), ((3, 2), (4, 4)), ((1, 1), (4, 3))]:

@@ -1,9 +1,13 @@
-"""Property-based checks of the closed forms and the genericity gate.
+"""Property-based checks of the closed forms, the genericity gate and the
+exact Poisson bracket.
 
-Each property draws a seed and a size and builds its input from the same
-seeded samplers the fixed-sample tests use; runs are derandomized so the
-suite is reproducible.
+Each numeric property draws a seed and a size and builds its input from the
+same seeded samplers the fixed-sample tests use; the polynomial properties
+draw sparse polynomials directly.  Runs are derandomized so the suite is
+reproducible.
 """
+
+from fractions import Fraction
 
 import numpy as np
 from helpers import random_fiber_coords, random_generic_matrix
@@ -14,10 +18,12 @@ from test_arrow import product_route_pi, random_arrow
 from ritzfiber import (
     DEFAULT_TOL,
     RitzData,
+    SparsePoly,
     eigenvalues,
     extract_coords,
     genericity_report,
     pi_matrix,
+    poisson_bracket,
     sigma_matrix,
     transpose_coords,
 )
@@ -94,3 +100,96 @@ def test_genericity_report_matches_brute_force(levels):
     assert rep.g1 == g1 and rep.g2 == g2
     assert rep.generic == (all(g1) and all(g2))
     assert rep.ill_conditioned == ill
+
+
+# exact coefficients of every kind: int, non-integral Fraction, complex with
+# integral parts and Gaussian rationals as (re, im) pairs
+FRACTIONS = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+COEFFS = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    FRACTIONS.filter(lambda q: q.denominator > 1),
+    st.builds(complex, *[st.integers(min_value=-2, max_value=2)] * 2),
+    st.tuples(FRACTIONS, FRACTIONS),
+)
+
+
+@st.composite
+def sparse_polys(draw, n, max_terms=3, max_degree=2):
+    var = st.tuples(st.integers(min_value=1, max_value=n), st.integers(min_value=1, max_value=n))
+    monomial = st.lists(var, max_size=max_degree).map(lambda vs: tuple(sorted(vs)))
+    return SparsePoly(n, draw(st.dictionaries(monomial, COEFFS, max_size=max_terms)))
+
+
+@st.composite
+def poly_triples(draw):
+    n = draw(st.integers(min_value=2, max_value=4))
+    return tuple(draw(sparse_polys(n)) for _ in range(3))
+
+
+def bracket_by_definition(f, g):
+    """{f, g} as the sum over every pair of variables of f and g of
+    (d_jk a_il - d_il a_kj) df/da_ij dg/da_kl, built with SparsePoly + and *."""
+    n = f.n
+    out = SparsePoly.zero(n)
+    for i, j in f.variables():
+        for k, l in g.variables():
+            term = SparsePoly.zero(n)
+            if j == k:
+                term = term + SparsePoly.variable(n, i, l)
+            if i == l:
+                term = term - SparsePoly.variable(n, k, j)
+            out = out + term * f.partial(i, j) * g.partial(k, l)
+    return out
+
+
+def evaluate(p, x):
+    """Exact value (re, im) of p at the rational matrix x, 1-based entries."""
+    re = im = Fraction(0)
+    for key, (c_re, c_im) in p.terms.items():
+        value = Fraction(1)
+        for i, j in key:
+            value *= x[i - 1][j - 1]
+        re += c_re * value
+        im += c_im * value
+    return re, im
+
+
+@PROPERTY
+@given(polys=poly_triples(), seed=SEEDS)
+def test_arithmetic_is_evaluation_homomorphism(polys, seed):
+    f, g, _ = polys
+    rng = np.random.default_rng(seed)
+    x = [[Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4))) for _ in range(f.n)]
+         for _ in range(f.n)]
+    (a, b), (c, d) = evaluate(f, x), evaluate(g, x)
+    assert evaluate(f + g, x) == (a + c, b + d)
+    assert evaluate(f - g, x) == (a - c, b - d)
+    assert evaluate(f * g, x) == (a * c - b * d, a * d + b * c)
+
+
+@PROPERTY
+@given(polys=poly_triples())
+def test_bracket_matches_definition(polys):
+    f, g, _ = polys
+    assert poisson_bracket(f, g) == bracket_by_definition(f, g)
+
+
+@PROPERTY
+@given(polys=poly_triples())
+def test_bracket_antisymmetry_and_leibniz(polys):
+    f, g, h = polys
+    assert (poisson_bracket(f, g) + poisson_bracket(g, f)).is_zero()
+    leibniz = poisson_bracket(f, g * h) - (poisson_bracket(f, g) * h + g * poisson_bracket(f, h))
+    assert leibniz.is_zero()
+
+
+@PROPERTY
+@given(polys=poly_triples())
+def test_bracket_jacobi_identity(polys):
+    f, g, h = polys
+    jacobi = (
+        poisson_bracket(f, poisson_bracket(g, h))
+        + poisson_bracket(g, poisson_bracket(h, f))
+        + poisson_bracket(h, poisson_bracket(f, g))
+    )
+    assert jacobi.is_zero()
