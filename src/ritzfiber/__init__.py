@@ -72,9 +72,7 @@ from .gzflow import (
     poisson_bracket,
 )
 from .numcore import (
-    DEFAULT_TOL,
     MonicPoly,
-    Tolerances,
     charpoly_from_eigs,
     eigenvalues,
     leading_submatrix,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, SpectralCollisionError
-from .numcore import DEFAULT_TOL, as_complex_vector, derivative_at_roots, min_gap
+from .numcore import COINCIDE_REL, as_complex_vector, derivative_at_roots, magnitude_scale, min_gap
 
 # relative bound on the factorization reconstruction residual
 FACTOR_RESIDUAL_REL = 1e-8
@@ -68,14 +68,6 @@ class ArrowFactorization:
         return np.linalg.solve(self.z_inv, np.eye(k, dtype=np.complex128))
 
 
-def _collision_scale(*groups):
-    top = 0.0
-    for g in groups:
-        if len(g):
-            top = max(top, float(np.max(np.abs(g))))
-    return top if top > 0.0 else 1.0
-
-
 def _require_apart(gap, thr, message):
     if gap <= thr:
         raise SpectralCollisionError(message)
@@ -92,21 +84,21 @@ def _pi(d, lam):
     return 1.0 + _sigma(d, lam) @ (1.0 / (d[:, None] - lam[None, :])) ** 2
 
 
-def cauchy_matrix(d, lam, tol=DEFAULT_TOL):
+def cauchy_matrix(d, lam):
     """Matrix with entries 1 / (d_i - lam_j).
 
     Raises SpectralCollisionError when some pair d_i, lam_j coincides within
-    coincide_rel of the parameter scale.
+    COINCIDE_REL of the parameter scale.
     """
     d = as_complex_vector(d)
     lam = as_complex_vector(lam)
-    thr = tol.coincide_rel * _collision_scale(d, lam)
+    thr = COINCIDE_REL * magnitude_scale(d, lam)
     msg = f"Cauchy matrix parameters collide: some |d_i - lam_j| is below {thr:.3e}"
     _require_apart(min_gap(d, lam), thr, msg)
     return 1.0 / (d[:, None] - lam[None, :])
 
 
-def sigma_matrix(r, m, tol=DEFAULT_TOL):
+def sigma_matrix(r, m):
     """Diagonal of Sigma_m = -P_{m+1}(Lam_m) / P_m'(Lam_m).
 
     Sigma_m depends only on the Ritz values; on any matrix of the fibre it
@@ -114,7 +106,7 @@ def sigma_matrix(r, m, tol=DEFAULT_TOL):
     """
     if not 1 <= m <= r.n - 1:
         raise ValueError(f"level m={m} out of range 1..{r.n - 1}")
-    thr = tol.coincide_rel * r.scale()
+    thr = COINCIDE_REL * r.scale()
     mus = r.level(m)
     nxt = r.level(m + 1)
     _require_apart(min_gap(mus), thr, f"(G1_{m}) fails: level {m} has a repeated eigenvalue")
@@ -124,16 +116,16 @@ def sigma_matrix(r, m, tol=DEFAULT_TOL):
     return _sigma(mus, nxt)
 
 
-def bc_product(r, m, tol=DEFAULT_TOL):
+def bc_product(r, m):
     """Entrywise product b_m * c_m shared by every matrix on the fibre.
 
     Identical to sigma_matrix; named separately to document the identity
     diag(b_m) diag(c_m) = -P_{m+1}(Lam_m) P_m'(Lam_m)^{-1}.
     """
-    return sigma_matrix(r, m, tol)
+    return sigma_matrix(r, m)
 
 
-def pi_matrix(d, lam, tol=DEFAULT_TOL):
+def pi_matrix(d, lam):
     """Diagonal pairing of row and column eigenvectors of an arrow matrix.
 
     Closed form, independent of the bordering vectors p and q:
@@ -144,13 +136,13 @@ def pi_matrix(d, lam, tol=DEFAULT_TOL):
     """
     d = as_complex_vector(d)
     lam = as_complex_vector(lam)
-    thr = tol.coincide_rel * _collision_scale(d, lam)
+    thr = COINCIDE_REL * magnitude_scale(d, lam)
     _require_apart(min_gap(d), thr, "pi_matrix requires pairwise distinct d")
     _require_apart(min_gap(d, lam), thr, "pi_matrix requires d and lam disjoint")
     return _pi(d, lam)
 
 
-def arrow_factorize(a, lam, tol=DEFAULT_TOL):
+def arrow_factorize(a, lam):
     """Spectral factorization of an arrow matrix with spectrum lam.
 
     Builds Z^{-1} = [-diag(p) Cauchy(d, lam); ones] and the pairing diagonal
@@ -163,11 +155,11 @@ def arrow_factorize(a, lam, tol=DEFAULT_TOL):
     m = len(a.d)
     if len(lam) != m + 1:
         raise ValueError(f"spectrum must have {m + 1} values, got {len(lam)}")
-    thr = tol.coincide_rel * _collision_scale(a.d, lam)
+    thr = COINCIDE_REL * magnitude_scale(a.d, lam)
     _require_apart(
         min_gap(lam), thr, "arrow spectrum has a repeated eigenvalue; factorization rejected"
     )
-    cau = cauchy_matrix(a.d, lam, tol)  # enforces d vs lam disjointness
+    cau = cauchy_matrix(a.d, lam)  # enforces d vs lam disjointness
     _require_apart(min_gap(a.d), thr, "arrow diagonal d has a repeated entry")
     z_inv = np.vstack([-a.p[:, None] * cau, np.ones((1, m + 1))])
     fact = ArrowFactorization(lam.copy(), z_inv, _pi(a.d, lam))

@@ -41,7 +41,7 @@ from .gzflow import (
     gz_generator_indices,
     poisson_bracket,
 )
-from .numcore import DEFAULT_TOL, MonicPoly, Tolerances, as_complex_matrix, canonical_sort
+from .numcore import MonicPoly, as_complex_matrix, canonical_sort
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -138,12 +138,6 @@ def coords_doc(fc, extra=None):
 def _common_flags(p):
     p.add_argument("--input", metavar="FILE", help="input document (default: stdin)")
     p.add_argument("--output", metavar="FILE", help="output document (default: stdout)")
-    p.add_argument("--tol-eig", type=float, default=DEFAULT_TOL.eig_rel,
-                   help="relative eigenvalue accuracy")
-    p.add_argument("--tol-coincide", type=float, default=DEFAULT_TOL.coincide_rel,
-                   help="eigenvalue coincidence threshold")
-    p.add_argument("--tol-rank", type=float, default=DEFAULT_TOL.rank_rel,
-                   help="rank decision threshold")
 
 
 def build_parser():
@@ -199,10 +193,6 @@ def build_parser():
     return parser
 
 
-def _tol(args):
-    return Tolerances(args.tol_eig, args.tol_coincide, args.tol_rank)
-
-
 def _read_doc(args):
     try:
         if args.input:
@@ -250,21 +240,20 @@ def _ritz_drift(before, after):
 
 def _cmd_ritz(args):
     x = parse_matrix_doc(_read_doc(args))
-    r = ritz_values(x, _tol(args))
+    r = ritz_values(x)
     _write_doc(args, {"ritz": [[_pair(v) for v in lev] for lev in r.levels]})
     return EXIT_OK
 
 
 def _cmd_check(args):
-    tol = _tol(args)
     x = parse_matrix_doc(_read_doc(args))
-    rep = genericity_report(ritz_values(x, tol), tol)
+    rep = genericity_report(ritz_values(x))
     doc = {
         "g1": list(rep.g1),
         "g2": list(rep.g2),
         "generic": rep.generic,
         "ill_conditioned": rep.ill_conditioned,
-        "strongly_regular": strong_regularity_check(x, tol),
+        "strongly_regular": strong_regularity_check(x),
     }
     if rep.ill_conditioned:
         print("warning: ill-conditioned fibre (near-coincident Ritz values)", file=sys.stderr)
@@ -279,22 +268,19 @@ def _cmd_hess(args):
 
 
 def _cmd_coords(args):
-    tol = _tol(args)
     x = parse_matrix_doc(_read_doc(args))
-    res = extract_coords(x, tol)
+    res = extract_coords(x)
     _write_doc(args, coords_doc(res.coords))
     return EXIT_OK
 
 
 def _cmd_reconstruct(args):
-    tol = _tol(args)
     fc = parse_coords_doc(_read_doc(args))
-    _write_doc(args, matrix_doc(reconstruct(fc, tol)))
+    _write_doc(args, matrix_doc(reconstruct(fc)))
     return EXIT_OK
 
 
 def _cmd_flow(args):
-    tol = _tol(args)
     x = parse_matrix_doc(_read_doc(args))
     q = _parse_complex_token(args.q, "--q")
     use_trace = args.m is not None or args.k is not None
@@ -306,9 +292,9 @@ def _cmd_flow(args):
             raise ValueError("trace flow needs both --m and --k")
         y = gz_flow(x, FlowParam(args.m, args.k, q))
     else:
-        y = eigen_flow(x, args.j, q, tol)
-    before = ritz_values(x, tol)
-    after = ritz_values(y, tol)
+        y = eigen_flow(x, args.j, q)
+    before = ritz_values(x)
+    after = ritz_values(y)
     drift = _ritz_drift(before, after)
     _write_doc(
         args,
@@ -318,18 +304,17 @@ def _cmd_flow(args):
 
 
 def _cmd_conj(args):
-    tol = _tol(args)
     fc = parse_coords_doc(_read_doc(args))
-    x = reconstruct(fc, tol)
+    x = reconstruct(fc)
     if args.transpose:
-        new_fc = transpose_coords(fc, tol)
+        new_fc = transpose_coords(fc)
         target = x.T
     else:
         d = [_parse_complex_token(t, "--diag") for t in args.diag.split(",")]
-        new_fc = diagonal_similarity_coords(fc, d, tol)
+        new_fc = diagonal_similarity_coords(fc, d)
         dv = np.asarray(d, dtype=np.complex128)
         target = (dv[:, None] * x) / dv[None, :]
-    check = reconstruct(new_fc, tol)
+    check = reconstruct(new_fc)
     residual = float(
         np.linalg.norm(check - target) / max(np.linalg.norm(target), 1e-300)
     )
@@ -338,18 +323,17 @@ def _cmd_conj(args):
 
 
 def _cmd_control(args):
-    tol = _tol(args)
     a = parse_matrix_doc(_read_doc(args))
     if a.shape[0] < 2:
         raise ValueError("control document must be a bordered matrix of order >= 2")
     m = a.shape[0] - 1
     sys_ = control_mod.SISOSystem(a[:m, :m], a[m, :m], a[:m, m], a[m, m])
     if args.row:
-        doc = {"observable": control_mod.observable(sys_.b_matrix, sys_.row, tol)}
+        doc = {"observable": control_mod.observable(sys_.b_matrix, sys_.row)}
     elif args.col:
-        doc = {"controllable": control_mod.controllable(sys_.b_matrix, sys_.col, tol)}
+        doc = {"controllable": control_mod.controllable(sys_.b_matrix, sys_.col)}
     elif args.regular:
-        doc = {"regular": control_mod.is_regular(sys_.b_matrix, tol)}
+        doc = {"regular": control_mod.is_regular(sys_.b_matrix)}
     else:
         coeffs = [_parse_complex_token(t, "--complete") for t in args.complete.split(",")]
         if len(coeffs) != m + 1:
@@ -358,7 +342,7 @@ def _cmd_control(args):
                 f"degree-{m + 1} polynomial, got {len(coeffs)}"
             )
         target = MonicPoly(coeffs)
-        c = control_mod.solve_unique_completion(sys_.b_matrix, sys_.row, target, tol)
+        c = control_mod.solve_unique_completion(sys_.b_matrix, sys_.row, target)
         delta = -target.coeffs[m] - np.trace(sys_.b_matrix)
         doc = {
             "completion": [_pair(v) for v in c],

@@ -14,12 +14,13 @@ import numpy as np
 
 from .errors import CompletionError, NumericalError
 from .numcore import (
-    DEFAULT_TOL,
+    COINCIDE_REL,
     MonicPoly,
     as_complex_matrix,
     as_complex_vector,
     charpoly_from_eigs,
     eigenvalues,
+    magnitude_scale,
     numeric_rank,
 )
 
@@ -103,42 +104,46 @@ class JordanSpec:
         return ends
 
 
-def _krylov_rows(b_matrix, vec):
-    """Rows vec^T B^{k-1}, k = 1..m, stacked as an m x m matrix."""
-    m = b_matrix.shape[0]
-    rows = np.zeros((m, m), dtype=np.complex128)
-    v = vec.copy()
-    for k in range(m):
-        rows[k] = v
-        v = b_matrix.T @ v
+def _krylov_rows(b_matrix, vec, count=None):
+    """Rows vec^T B^k, k = 0..count-1 (count defaults to the order m),
+    stacked as a count x m matrix; overflow raises NumericalError."""
+    count = b_matrix.shape[0] if count is None else count
+    rows = np.zeros((count, len(vec)), dtype=np.complex128)
+    with np.errstate(all="ignore"):
+        for k in range(count):
+            rows[k] = vec if k == 0 else b_matrix.T @ rows[k - 1]
+    if not np.all(np.isfinite(rows)):
+        raise NumericalError("Krylov matrix overflowed: its entries are not finite")
     return rows
 
 
-def observable(b_matrix, b, tol=DEFAULT_TOL):
+def _validated(b_matrix, vec, kind):
+    b_matrix = as_complex_matrix(b_matrix)
+    vec = as_complex_vector(vec)
+    if len(vec) != b_matrix.shape[0]:
+        raise ValueError(f"{kind} vector length must match the matrix order")
+    return b_matrix, vec
+
+
+def observable(b_matrix, b):
     """Kalman test: rank(b, B^T b, ..., (B^T)^{m-1} b) = m."""
-    b_matrix = as_complex_matrix(b_matrix)
-    b = as_complex_vector(b)
-    if len(b) != b_matrix.shape[0]:
-        raise ValueError("row vector length must match the matrix order")
-    return numeric_rank(_krylov_rows(b_matrix, b), tol) == b_matrix.shape[0]
+    b_matrix, b = _validated(b_matrix, b, "row")
+    return numeric_rank(_krylov_rows(b_matrix, b)) == len(b)
 
 
-def controllable(b_matrix, c, tol=DEFAULT_TOL):
+def controllable(b_matrix, c):
     """Kalman test: rank(c, B c, ..., B^{m-1} c) = m."""
-    b_matrix = as_complex_matrix(b_matrix)
-    c = as_complex_vector(c)
-    if len(c) != b_matrix.shape[0]:
-        raise ValueError("column vector length must match the matrix order")
-    return numeric_rank(_krylov_rows(b_matrix.T, c), tol) == b_matrix.shape[0]
+    b_matrix, c = _validated(b_matrix, c, "column")
+    return numeric_rank(_krylov_rows(b_matrix.T, c)) == len(c)
 
 
-def is_regular(b_matrix, tol=DEFAULT_TOL):
+def is_regular(b_matrix):
     """Whether B is non-derogatory: its commutant has dimension exactly m."""
     b_matrix = as_complex_matrix(b_matrix)
     m = b_matrix.shape[0]
     ident = np.eye(m, dtype=np.complex128)
     syl = np.kron(ident, b_matrix) - np.kron(b_matrix.T, ident)
-    return m * m - numeric_rank(syl, tol) == m
+    return m * m - numeric_rank(syl) == m
 
 
 def markov_hankel(sys, n_rows):
@@ -147,20 +152,17 @@ def markov_hankel(sys, n_rows):
         raise ValueError("markov_hankel expects a SISOSystem")
     if n_rows < 1:
         raise ValueError("N must be >= 1")
-    params = np.zeros(2 * n_rows - 1, dtype=np.complex128)
-    v = sys.col.copy()
-    for k in range(2 * n_rows - 1):
-        params[k] = sys.row @ v
-        v = sys.b_matrix @ v
-    out = np.zeros((n_rows, n_rows), dtype=np.complex128)
-    for i in range(n_rows):
-        out[i] = params[i : i + n_rows]
-    return out
+    with np.errstate(all="ignore"):
+        params = _krylov_rows(sys.b_matrix, sys.row, 2 * n_rows - 1) @ sys.col
+    if not np.all(np.isfinite(params)):
+        raise NumericalError("Markov parameters overflowed: they are not finite")
+    idx = np.arange(n_rows)
+    return params[idx[:, None] + idx[None, :]]
 
 
-def charpoly(b_matrix, tol=DEFAULT_TOL):
+def charpoly(b_matrix):
     """Characteristic polynomial det(lI - B) via the computed spectrum."""
-    return charpoly_from_eigs(eigenvalues(b_matrix, tol))
+    return charpoly_from_eigs(eigenvalues(b_matrix))
 
 
 def markov_parameters_from_target(p_b, target, delta, count):
@@ -191,38 +193,36 @@ def markov_parameters_from_target(p_b, target, delta, count):
     return g
 
 
-def solve_unique_completion(b_matrix, b, target, tol=DEFAULT_TOL):
+def solve_unique_completion(b_matrix, b, target):
     """The unique column c giving [[B, c], [b^T, delta]] the target
     characteristic polynomial; delta is fixed by the trace difference.
 
     Requires (B, b) observable; the result is verified by recomputing the
     characteristic polynomial of the completed matrix coefficientwise.
     """
-    b_matrix = as_complex_matrix(b_matrix)
-    b = as_complex_vector(b)
-    m = b_matrix.shape[0]
-    if len(b) != m:
-        raise ValueError("row vector length must match the matrix order")
+    b_matrix, b = _validated(b_matrix, b, "row")
+    m = len(b)
     if not isinstance(target, MonicPoly):
         target = MonicPoly(target)
     if target.degree != m + 1:
         raise ValueError(f"target degree must be {m + 1}, got {target.degree}")
-    if not observable(b_matrix, b, tol):
-        raise CompletionError("no unique completion: the system is not observable")
-    # trace of the bordered matrix is minus the coefficient of l^m
-    delta = -target.coeffs[m] - np.trace(b_matrix)
-    p_b = charpoly(b_matrix, tol)
-    g = markov_parameters_from_target(p_b, target, delta, m)
     rows = _krylov_rows(b_matrix, b)
-    try:
-        c = np.linalg.solve(rows, g)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"observability matrix solve failed: {exc}") from None
-    completed = SISOSystem(b_matrix, b, c, delta).bordered()
-    achieved = charpoly(completed, tol)
-    scale = max(1.0, float(np.max(np.abs(target.full()))))
-    err = float(np.max(np.abs(achieved.full() - target.full())))
-    if err > COMPLETION_RESIDUAL * scale:
+    if numeric_rank(rows) != m:
+        raise CompletionError("no unique completion: the system is not observable")
+    with np.errstate(all="ignore"):
+        # trace of the bordered matrix is minus the coefficient of l^m
+        delta = -target.coeffs[m] - np.trace(b_matrix)
+        g = markov_parameters_from_target(charpoly(b_matrix), target, delta, m)
+        try:
+            c = np.linalg.solve(rows, g)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"observability matrix solve failed: {exc}") from None
+        if not (np.isfinite(delta) and np.all(np.isfinite(c))):
+            raise NumericalError("completion overflowed: delta or c is not finite")
+        achieved = charpoly(SISOSystem(b_matrix, b, c, delta).bordered())
+        scale = max(1.0, float(np.max(np.abs(target.full()))))
+        err = float(np.max(np.abs(achieved.full() - target.full())))
+    if not err <= COMPLETION_RESIDUAL * scale:
         raise NumericalError(
             f"completion residual {err:.3e} exceeds {COMPLETION_RESIDUAL:.1e} "
             "(coefficientwise)"
@@ -230,7 +230,7 @@ def solve_unique_completion(b_matrix, b, target, tol=DEFAULT_TOL):
     return c
 
 
-def jordan_observable_row(spec, row, tol=DEFAULT_TOL):
+def jordan_observable_row(spec, row):
     """Observability of a row against a lower-Jordan block-diagonal matrix.
 
     True exactly when the row entry at the end of each Jordan segment is
@@ -241,6 +241,5 @@ def jordan_observable_row(spec, row, tol=DEFAULT_TOL):
     row = as_complex_vector(row)
     if len(row) != spec.order:
         raise ValueError(f"row must have {spec.order} entries, got {len(row)}")
-    top = float(np.max(np.abs(row))) if len(row) else 0.0
-    thr = tol.coincide_rel * (top if top > 0.0 else 1.0)
+    thr = COINCIDE_REL * magnitude_scale(row)
     return all(abs(row[e]) > thr for e in spec.segment_ends())

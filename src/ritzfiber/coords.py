@@ -24,7 +24,7 @@ from . import _kernels
 from .arrow import _pi, _sigma, sigma_matrix
 from .errors import GenericityError, NumericalError
 from .fiber import RitzData, require_generic, ritz_values
-from .numcore import DEFAULT_TOL, as_complex_matrix, as_complex_vector
+from .numcore import COINCIDE_REL, EIG_REL, as_complex_matrix, as_complex_vector
 
 
 @dataclass
@@ -71,14 +71,14 @@ class CoordsExtraction(NamedTuple):
         return [ArrowCoordsPair(b, c) for b, c in zip(self.coords.b, self.c)]
 
 
-def diagonalizer(xm, mus, tol=DEFAULT_TOL):
+def diagonalizer(xm, mus):
     """Eigenvector matrix of xm with columns ordered by mus and last row ones.
 
     Column i belongs to the LAPACK eigenvalue nearest mus[i]; the match must
-    be one to one.  A last entry below coincide_rel relative to its column
+    be one to one.  A last entry below COINCIDE_REL relative to its column
     means the leading submatrix of order m-1 shares that eigenvalue
     (GenericityError).  The residual ||xm g - g diag(mus)|| is guaranteed at
-    most eig_rel * ||xm|| * ||g||, else NumericalError.
+    most EIG_REL * ||xm|| * ||g||, else NumericalError.
     """
     xm = as_complex_matrix(xm)
     mus = as_complex_vector(mus)
@@ -91,7 +91,7 @@ def diagonalizer(xm, mus, tol=DEFAULT_TOL):
         raise NumericalError("eigenvalues do not match the given order one to one")
     vecs = vecs[:, match]
     last = vecs[-1]
-    small = np.abs(last) < tol.coincide_rel * np.linalg.norm(vecs, axis=0)
+    small = np.abs(last) < COINCIDE_REL * np.linalg.norm(vecs, axis=0)
     if np.any(small):
         raise GenericityError(
             "eigenvector has (numerically) vanishing last entry: the leading "
@@ -100,21 +100,21 @@ def diagonalizer(xm, mus, tol=DEFAULT_TOL):
     g = vecs / last
     g[-1] = 1.0
     residual = np.linalg.norm(xm @ g - g * mus)
-    if residual > tol.eig_rel * np.linalg.norm(xm) * np.linalg.norm(g):
+    if residual > EIG_REL * np.linalg.norm(xm) * np.linalg.norm(g):
         raise NumericalError(
-            f"eigenpair residual {residual:.3e} exceeds {tol.eig_rel:.1e} * ||x|| * ||g||"
+            f"eigenpair residual {residual:.3e} exceeds {EIG_REL:.1e} * ||x|| * ||g||"
         )
     return g
 
 
-def _validate_b_nonzero(fc, tol):
-    thr = tol.coincide_rel * fc.ritz.scale()
+def _validate_b_nonzero(fc):
+    thr = COINCIDE_REL * fc.ritz.scale()
     for m, v in enumerate(fc.b, start=1):
         if np.any(np.abs(v) <= thr):
             raise ValueError(f"b_{m} has a (numerically) zero entry")
 
 
-def extract_coords(x, tol=DEFAULT_TOL):
+def extract_coords(x):
     """Coordinates (Ritz values, b) of a generic matrix, plus the c columns.
 
     Levels are ordered canonically; the stored ordering is what ties the b
@@ -123,32 +123,30 @@ def extract_coords(x, tol=DEFAULT_TOL):
     """
     x = as_complex_matrix(x)
     n = x.shape[0]
-    r = ritz_values(x, tol)
-    require_generic(r, tol)
+    r = ritz_values(x)
+    require_generic(r)
     b_list = []
     c_list = []
     for m in range(1, n):
-        g = diagonalizer(x[:m, :m], r.level(m), tol)
-        t = np.zeros((m + 1, m + 1), dtype=np.complex128)
-        t[:m, :m] = g
-        t[m, m] = 1.0
-        conj = np.linalg.solve(t, x[: m + 1, : m + 1] @ t)
-        b_list.append(conj[m, :m].copy())
-        c_list.append(conj[:m, m].copy())
+        # (g_m (+) 1)^{-1} x_{m+1} (g_m (+) 1) has last row (x[m, :m] g_m, x[m, m])
+        # and last column (g_m^{-1} x[:m, m], x[m, m])
+        g = diagonalizer(x[:m, :m], r.level(m))
+        b_list.append(x[m, :m] @ g)
+        c_list.append(np.linalg.solve(g, x[:m, m]))
     return CoordsExtraction(FiberCoords(r, b_list), c_list)
 
 
-def complement_c_from_b(r, m, b, tol=DEFAULT_TOL):
+def complement_c_from_b(r, m, b):
     """The bordering column forced by the bordering row: c_i = Sigma_m[i] / b_i."""
     b = as_complex_vector(b)
     if len(b) != m:
         raise ValueError(f"b must have {m} entries, got {len(b)}")
-    if np.any(np.abs(b) <= tol.coincide_rel * r.scale()):
+    if np.any(np.abs(b) <= COINCIDE_REL * r.scale()):
         raise ValueError("b has a (numerically) zero entry")
-    return sigma_matrix(r, m, tol) / b
+    return sigma_matrix(r, m) / b
 
 
-def reconstruct(fc, tol=DEFAULT_TOL):
+def reconstruct(fc):
     """Rebuild the unique generic matrix with the given coordinates.
 
     Runs the eigenvector recurrence level by level and returns
@@ -156,8 +154,8 @@ def reconstruct(fc, tol=DEFAULT_TOL):
     (its global threshold is at least each level's local one), so the Sigma
     and Cauchy factors need no further checks.
     """
-    require_generic(fc.ritz, tol)
-    _validate_b_nonzero(fc, tol)
+    require_generic(fc.ritz)
+    _validate_b_nonzero(fc)
     r = fc.ritz
     g = np.ones((1, 1), dtype=np.complex128)
     for m in range(1, r.n):
@@ -170,25 +168,25 @@ def reconstruct(fc, tol=DEFAULT_TOL):
     return np.linalg.solve(g.T, (g * lam[None, :]).T).T
 
 
-def s_coordinates(x, tol=DEFAULT_TOL):
+def s_coordinates(x):
     """Flat coordinate vector (b_1, ..., b_{n-1}) of length n(n-1)/2.
 
     Slot j = m(m-1)/2 + l holds entry l of b_m.  The vector is all ones
     exactly when x is the unit upper Hessenberg representative of its fibre.
     """
-    res = extract_coords(x, tol)
+    res = extract_coords(x)
     return np.concatenate(res.coords.b) if res.coords.b else np.zeros(0, complex)
 
 
-def transpose_coords(fc, tol=DEFAULT_TOL):
+def transpose_coords(fc):
     """Coordinates of the transposed matrix: b~_m = Pi_m * Sigma_m / b_m.
 
     Pi_m is the row/column eigenvector pairing of level m over level m-1
     (all ones for m = 1); both factors depend only on the Ritz values, so the
     transform is an involution on each fibre.  One genericity gate covers all.
     """
-    require_generic(fc.ritz, tol)
-    _validate_b_nonzero(fc, tol)
+    require_generic(fc.ritz)
+    _validate_b_nonzero(fc)
     levels = [np.zeros(0, dtype=np.complex128)] + fc.ritz.levels  # levels[m] = Lam_m
     new_b = [
         _pi(levels[m - 1], levels[m]) * _sigma(levels[m], levels[m + 1]) / fc.b[m - 1]
@@ -197,7 +195,7 @@ def transpose_coords(fc, tol=DEFAULT_TOL):
     return FiberCoords(RitzData([lev.copy() for lev in fc.ritz.levels]), new_b)
 
 
-def diagonal_similarity_coords(fc, d, tol=DEFAULT_TOL):
+def diagonal_similarity_coords(fc, d):
     """Coordinates of d x d^{-1} for diagonal d: b_m scales by d_{m+1} / d_m."""
     d = as_complex_vector(d)
     if len(d) != fc.ritz.n:

@@ -13,11 +13,12 @@ import numpy as np
 
 from .errors import GenericityError
 from .numcore import (
-    DEFAULT_TOL,
+    COINCIDE_REL,
     MonicPoly,
     as_complex_matrix,
     charpoly_from_eigs,
     eigenvalues,
+    magnitude_scale,
     min_gap,
     numeric_rank,
     poly_quotient_in_basis,
@@ -61,8 +62,7 @@ class RitzData:
 
     def scale(self):
         """Global magnitude scale: max |Ritz value| over all levels, or 1."""
-        s = max(float(np.max(np.abs(lev))) for lev in self.levels)
-        return s if s > 0.0 else 1.0
+        return magnitude_scale(*self.levels)
 
 
 @dataclass
@@ -105,7 +105,7 @@ class FiberDescriptor:
         return cls(r, diagonal_from_ritz(r))
 
 
-def ritz_values(x, tol=DEFAULT_TOL):
+def ritz_values(x):
     """Ritz values of x; every level is sorted in the canonical order.
 
     The whole of x is validated once; each level then costs one eigenvalues
@@ -113,17 +113,17 @@ def ritz_values(x, tol=DEFAULT_TOL):
     """
     x = as_complex_matrix(x)
     n = x.shape[0]
-    return RitzData([eigenvalues(x[:m, :m], tol) for m in range(1, n + 1)])
+    return RitzData([eigenvalues(x[:m, :m]) for m in range(1, n + 1)])
 
 
-def genericity_report(r, tol=DEFAULT_TOL):
+def genericity_report(r):
     """Evaluate the disjointness conditions on a set of Ritz values.
 
-    Two eigenvalues count as equal when they are within coincide_rel times the
+    Two eigenvalues count as equal when they are within COINCIDE_REL times the
     global Ritz scale; the scale is global because the cross-level conditions
     compare values from different levels.
     """
-    thr = tol.coincide_rel * r.scale()
+    thr = COINCIDE_REL * r.scale()
     within = [min_gap(lev) for lev in r.levels]
     between = [min_gap(lo, hi) for lo, hi in zip(r.levels, r.levels[1:])]
     g1 = [gap > thr for gap in within]
@@ -133,9 +133,9 @@ def genericity_report(r, tol=DEFAULT_TOL):
     return GenericityReport(g1, g2, generic, generic and in_grey_zone)
 
 
-def require_generic(r, tol=DEFAULT_TOL):
+def require_generic(r):
     """Raise GenericityError naming the first failing condition, if any."""
-    rep = genericity_report(r, tol)
+    rep = genericity_report(r)
     if not rep.generic:
         raise GenericityError(f"{rep.first_failure()} fails: fibre is not generic")
     return rep
@@ -183,7 +183,7 @@ def hessenberg_representative(r):
     return y
 
 
-def strong_regularity_check(x, tol=DEFAULT_TOL):
+def strong_regularity_check(x):
     """Whether the n(n+1)/2 trace functions tr((x_m)^k) have independent
     gradients at x.
 
@@ -203,4 +203,4 @@ def strong_regularity_check(x, tol=DEFAULT_TOL):
             rows.append(grad.ravel())
             power = power @ xm
     stacked = np.array(rows)
-    return numeric_rank(stacked, tol) == n * (n + 1) // 2
+    return numeric_rank(stacked) == n * (n + 1) // 2

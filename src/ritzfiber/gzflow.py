@@ -25,7 +25,7 @@ import numpy as np
 from .coords import diagonalizer
 from .errors import NotRegularError, NumericalError
 from .fiber import require_generic, ritz_values
-from .numcore import DEFAULT_TOL, as_complex_matrix, numeric_rank
+from .numcore import as_complex_matrix, numeric_rank
 
 # ---------------------------------------------------------------------------
 # matrix exponential: scaling and squaring with a degree-13 Pade core
@@ -153,7 +153,7 @@ def decode_slot(j):
     return m, j - m * (m - 1) // 2
 
 
-def eigen_flow(x, j, q, tol=DEFAULT_TOL):
+def eigen_flow(x, j, q):
     """Per-eigenvalue flow on a generic fibre.
 
     For j = m(m-1)/2 + l the matrix is conjugated by the structured similarity
@@ -170,10 +170,10 @@ def eigen_flow(x, j, q, tol=DEFAULT_TOL):
         raise ValueError(f"slot j={j} addresses level {m}, out of range 1..{n - 1}")
     qs = np.zeros(m, dtype=np.complex128)
     qs[l - 1] = q
-    return level_flow(x, m, qs, tol)
+    return level_flow(x, m, qs)
 
 
-def level_flow(x, m, qs, tol=DEFAULT_TOL):
+def level_flow(x, m, qs):
     """All m per-eigenvalue flows of level m applied at once.
 
     One conjugation by g_m diag(e^{q_1}, ..., e^{q_m}) g_m^{-1} (+) I; equal
@@ -187,9 +187,9 @@ def level_flow(x, m, qs, tol=DEFAULT_TOL):
         raise ValueError(f"level m={m} out of range 1..{n - 1}")
     if len(qs) != m:
         raise ValueError(f"need {m} flow times, got {len(qs)}")
-    r = ritz_values(x, tol)
-    require_generic(r, tol)
-    g = diagonalizer(x[:m, :m], r.level(m), tol)
+    r = ritz_values(x)
+    require_generic(r)
+    g = diagonalizer(x[:m, :m], r.level(m))
     ginv = np.linalg.solve(g, np.eye(m, dtype=np.complex128))
     with np.errstate(all="ignore"):
         dvec = np.exp(qs)
@@ -198,7 +198,7 @@ def level_flow(x, m, qs, tol=DEFAULT_TOL):
         return _finite(fwd @ x @ bwd)
 
 
-def centralizer_basis(x, m, tol=DEFAULT_TOL):
+def centralizer_basis(x, m):
     """Basis (I, x_m, ..., x_m^{m-1}) of the commutative similarity group of
     level m, each embedded as g (+) I_{n-m}.
 
@@ -212,7 +212,7 @@ def centralizer_basis(x, m, tol=DEFAULT_TOL):
     xm = x[:m, :m]
     ident = np.eye(m, dtype=np.complex128)
     syl = np.kron(ident, xm) - np.kron(xm.T, ident)
-    nullity = m * m - numeric_rank(syl, tol)
+    nullity = m * m - numeric_rank(syl)
     if nullity > m:
         raise NotRegularError(
             f"leading submatrix of order {m} is not regular: its commutant has "

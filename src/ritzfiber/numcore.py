@@ -15,27 +15,12 @@ import numpy as np
 from . import _kernels
 
 
-@dataclass
-class Tolerances:
-    """Numerical thresholds used by every operation in the package.
-
-    eig_rel      relative eigenpair residual bound: ||x g - g Lam|| <= eig_rel ||x|| ||g||
-    coincide_rel relative threshold below which two eigenvalues count as equal
-    rank_rel     relative singular-value cutoff for rank decisions
-    """
-
-    eig_rel: float = 1e-10
-    coincide_rel: float = 1e-8
-    rank_rel: float = 1e-10
-
-    def __post_init__(self):
-        for name in ("eig_rel", "coincide_rel", "rank_rel"):
-            v = getattr(self, name)
-            if not (0.0 < v < 1.0):
-                raise ValueError(f"tolerance {name} must lie in (0, 1), got {v}")
-
-
-DEFAULT_TOL = Tolerances()
+# relative eigenpair residual bound: ||x g - g Lam|| <= EIG_REL ||x|| ||g||
+EIG_REL = 1e-10
+# two eigenvalues within COINCIDE_REL times their magnitude scale count as equal
+COINCIDE_REL = 1e-8
+# singular values below RANK_REL times the largest one count as zero
+RANK_REL = 1e-10
 
 
 def as_complex_matrix(x, square=True):
@@ -75,11 +60,11 @@ def canonical_sort(eigs):
     return eigs[np.lexsort((eigs.imag, eigs.real))]
 
 
-def eigenvalues(x, tol=DEFAULT_TOL):
+def eigenvalues(x):
     """All eigenvalues of x with multiplicity, in canonical order.
 
     One LAPACK ``zgeev`` call; a failure or non-finite result raises
-    NumericalError.  ``tol`` is accepted for a uniform signature.
+    NumericalError.
     """
     return canonical_sort(_kernels.eigvals(as_complex_matrix(x)))
 
@@ -93,6 +78,13 @@ def min_gap(a, b=None):
     else:
         diff = np.abs(a[:, None] - b[None, :])
     return float(np.min(diff)) if diff.size else np.inf
+
+
+def magnitude_scale(*groups):
+    """Max |entry| over the non-empty groups, or 1 when that is 0: the scale
+    of every COINCIDE_REL threshold on eigenvalues and coordinate entries."""
+    top = max((float(np.max(np.abs(g))) for g in groups if len(g)), default=0.0)
+    return top if top > 0.0 else 1.0
 
 
 def derivative_at_roots(v):
@@ -190,12 +182,12 @@ def poly_quotient_in_basis(target, basis):
     return out
 
 
-def numeric_rank(a, tol=DEFAULT_TOL):
-    """Rank of a matrix, singular values below rank_rel * s_max count as zero."""
+def numeric_rank(a):
+    """Rank of a matrix, singular values below RANK_REL * s_max count as zero."""
     a = np.asarray(a, dtype=np.complex128)
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
     if s[0] == 0.0:
         return 0
-    return int(np.sum(s > tol.rank_rel * s[0]))
+    return int(np.sum(s > RANK_REL * s[0]))

@@ -15,6 +15,8 @@ from ritzfiber import ritz_values
 from ritzfiber.cli import matrix_doc, parse_coords_doc, parse_matrix_doc, run
 
 X0_DOC = {"n": 2, "entries": [[0, 1], [1, 0]]}
+BIG2_DOC = {"n": 2, "entries": [[1e308, 1e308], [1e308, 1e308]]}
+BIG3_DOC = {"n": 3, "entries": [[1e300] * 3] * 3}
 
 
 def write_doc(tmp_path, name, doc):
@@ -214,6 +216,33 @@ class TestControl:
         )
         assert code == 2 and "observable" in err
 
+    @pytest.mark.parametrize(
+        "doc, flag",
+        [
+            (BIG3_DOC, "--row"),
+            (BIG3_DOC, "--col"),
+            (BIG3_DOC, "--complete=1,2,3"),
+            (BIG2_DOC, "--complete=1,2"),
+        ],
+        ids=["row", "col", "complete", "complete-m1"],
+    )
+    def test_overflow_maps_to_4(self, doc, flag, tmp_path, capsys):
+        path = write_doc(tmp_path, "s.json", doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_json(capsys, ["control", "--input", path, flag])
+        assert code == 4 and out is None
+        assert err.startswith("error:") and err.count("error:") == 1
+
+    @pytest.mark.parametrize("flag, key", [("--row", "observable"), ("--col", "controllable")])
+    def test_representable_krylov_matrix(self, flag, key, tmp_path, capsys):
+        # m = 1: the Krylov matrix is (1e308), finite and of full rank
+        path = write_doc(tmp_path, "s.json", BIG2_DOC)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_json(capsys, ["control", "--input", path, flag])
+        assert code == 0 and out == {key: True} and err == ""
+
 
 class TestPoisson:
     def test_n3_certificate(self, capsys):
@@ -258,6 +287,11 @@ class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 2
 
+    def test_tolerance_flag_is_rejected(self, tmp_path, capsys):
+        path = write_doc(tmp_path, "x.json", X0_DOC)
+        code, out, err = run_json(capsys, ["ritz", "--input", path, "--tol-eig", "1e-3"])
+        assert code == 2 and out is None and "--tol-eig" in err
+
     def test_numerical_failure_maps_to_4(self, tmp_path, capsys, monkeypatch):
         def fail(_):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -269,8 +303,7 @@ class TestExitCodes:
 
     def test_overflowing_spectrum_maps_to_4(self, tmp_path, capsys):
         # the level-2 spectrum {0, 2e308} is not representable
-        doc = {"n": 2, "entries": [[1e308, 1e308], [1e308, 1e308]]}
-        path = write_doc(tmp_path, "x.json", doc)
+        path = write_doc(tmp_path, "x.json", BIG2_DOC)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_json(capsys, ["ritz", "--input", path])
@@ -360,9 +393,6 @@ def invocations(draw):
     """(argv, stdin text) of one call."""
     command = draw(st.sampled_from(sorted(SUBCOMMAND_FLAGS)))
     argv = [command] + draw(SUBCOMMAND_FLAGS[command])
-    if draw(st.booleans()):
-        argv += [draw(st.sampled_from(["--tol-eig", "--tol-coincide", "--tol-rank"])),
-                 draw(TOKENS)]
     return argv, draw(documents(command))
 
 

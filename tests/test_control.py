@@ -8,6 +8,7 @@ from ritzfiber import (
     CompletionError,
     JordanSpec,
     MonicPoly,
+    NumericalError,
     SISOSystem,
     charpoly_from_eigs,
     controllable,
@@ -19,6 +20,7 @@ from ritzfiber import (
     poly_eval,
     solve_unique_completion,
 )
+from ritzfiber import control
 from ritzfiber.control import charpoly, markov_parameters_from_target
 
 
@@ -109,6 +111,55 @@ class TestMarkovHankel:
         sys = SISOSystem(np.diag(d), row, col, 0.0)
         assert numeric_rank(markov_hankel(sys, m)) == m
 
+    def test_entries_are_markov_parameters(self):
+        rng = np.random.default_rng(9)
+        b_matrix, row, col = random_regular_system(rng, 3)
+        sys = SISOSystem(b_matrix, row, col, 0.0)
+        h = markov_hankel(sys, 3)
+        for i, j in itertools.product(range(3), repeat=2):
+            want = row @ np.linalg.matrix_power(b_matrix, i + j) @ col
+            assert abs(h[i, j] - want) < 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.filterwarnings("error")
+class TestKrylovOverflow:
+    """A Krylov matrix or right-hand side that overflows raises NumericalError
+    without a numpy RuntimeWarning."""
+
+    BIG = np.full((2, 2), 1e300)
+    ROW = np.full(2, 1e300)
+
+    def test_observable(self):
+        with pytest.raises(NumericalError, match="Krylov"):
+            observable(self.BIG, self.ROW)
+
+    def test_controllable(self):
+        with pytest.raises(NumericalError, match="Krylov"):
+            controllable(self.BIG, self.ROW)
+
+    def test_completion(self):
+        with pytest.raises(NumericalError, match="Krylov"):
+            solve_unique_completion(self.BIG, self.ROW, MonicPoly([1.0, 2.0, 3.0]))
+
+    def test_completion_right_hand_side(self):
+        # the 1x1 Krylov matrix (1e308) is finite, delta * P_B overflows
+        with pytest.raises(NumericalError):
+            solve_unique_completion(np.array([[1e308]]), [1e308], MonicPoly([1.0, 2.0]))
+
+    def test_markov_hankel(self):
+        with pytest.raises(NumericalError, match="Krylov"):
+            markov_hankel(SISOSystem(self.BIG, self.ROW, self.ROW, 0.0), 2)
+
+    def test_markov_parameters(self):
+        sys = SISOSystem(np.eye(1), [1e200], [1e200], 0.0)
+        with pytest.raises(NumericalError, match="Markov"):
+            markov_hankel(sys, 1)
+
+    def test_representable_krylov_matrix_is_decided(self):
+        # rows b, ..., (B^T)^{m-1} b fit even though B^m would overflow
+        assert observable(np.array([[1e308]]), [1e308])
+        assert controllable(np.array([[1e308]]), [1e308])
+
 
 class TestCompletion:
     def test_scalar_unit(self):
@@ -151,6 +202,13 @@ class TestCompletion:
             rhs = poly_eval(p_b, lam) * (lam - delta - row @ resolvent)
             lhs = poly_eval(target, lam)
             assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(lhs))
+
+    def test_krylov_matrix_built_once(self, monkeypatch):
+        calls = []
+        krylov = control._krylov_rows
+        monkeypatch.setattr(control, "_krylov_rows", lambda *a: calls.append(a) or krylov(*a))
+        solve_unique_completion(np.diag([1.0, 2.0]), [1.0, 1.0], MonicPoly([1.0, 2.0, 3.0]))
+        assert len(calls) == 1
 
     def test_higher_markov_parameters_consistent(self):
         # the series matches beyond the m equations actually solved

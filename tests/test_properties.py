@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from test_arrow import product_route_pi, random_arrow
 
 from ritzfiber import (
-    DEFAULT_TOL,
     RitzData,
     SparsePoly,
     eigenvalues,
@@ -28,6 +27,7 @@ from ritzfiber import (
     transpose_coords,
 )
 from ritzfiber.fiber import GREY_ZONE_FACTOR
+from ritzfiber.numcore import COINCIDE_REL
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -61,10 +61,10 @@ def test_pi_matches_eigenvector_product(seed, m):
     assert np.max(np.abs(closed - product_route_pi(a, lam))) < 1e-8 * np.max(np.abs(closed))
 
 
-def brute_force_report(levels, tol):
+def brute_force_report(levels):
     """(g1, g2, ill_conditioned) by explicit pairwise comparison."""
     scale = max(abs(v) for lev in levels for v in lev) or 1.0
-    thr = tol.coincide_rel * scale
+    thr = COINCIDE_REL * scale
     within = [[abs(u - v) for i, u in enumerate(lev) for k, v in enumerate(lev) if i != k]
               for lev in levels]
     between = [[abs(u - v) for u in lo for v in hi] for lo, hi in zip(levels, levels[1:])]
@@ -95,8 +95,8 @@ def ritz_levels(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(levels=ritz_levels())
 def test_genericity_report_matches_brute_force(levels):
-    rep = genericity_report(RitzData(levels), DEFAULT_TOL)
-    g1, g2, ill = brute_force_report(levels, DEFAULT_TOL)
+    rep = genericity_report(RitzData(levels))
+    g1, g2, ill = brute_force_report(levels)
     assert rep.g1 == g1 and rep.g2 == g2
     assert rep.generic == (all(g1) and all(g2))
     assert rep.ill_conditioned == ill
