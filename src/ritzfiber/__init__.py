@@ -13,7 +13,6 @@ from .arrow import (
     ArrowFactorization,
     ArrowMatrix,
     arrow_factorize,
-    bc_product,
     cauchy_matrix,
     pi_matrix,
     sigma_matrix,
@@ -29,7 +28,6 @@ from .control import (
     solve_unique_completion,
 )
 from .coords import (
-    ArrowCoordsPair,
     CoordsExtraction,
     FiberCoords,
     complement_c_from_b,
@@ -49,7 +47,6 @@ from .errors import (
     SpectralCollisionError,
 )
 from .fiber import (
-    FiberDescriptor,
     GenericityReport,
     RitzData,
     diagonal_from_ritz,
@@ -75,10 +72,7 @@ from .numcore import (
     MonicPoly,
     charpoly_from_eigs,
     eigenvalues,
-    leading_submatrix,
     numeric_rank,
-    poly_derivative,
-    poly_eval,
     poly_quotient_in_basis,
 )
 

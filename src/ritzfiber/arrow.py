@@ -116,15 +116,6 @@ def sigma_matrix(r, m):
     return _sigma(mus, nxt)
 
 
-def bc_product(r, m):
-    """Entrywise product b_m * c_m shared by every matrix on the fibre.
-
-    Identical to sigma_matrix; named separately to document the identity
-    diag(b_m) diag(c_m) = -P_{m+1}(Lam_m) P_m'(Lam_m)^{-1}.
-    """
-    return sigma_matrix(r, m)
-
-
 def pi_matrix(d, lam):
     """Diagonal pairing of row and column eigenvectors of an arrow matrix.
 

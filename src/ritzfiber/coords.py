@@ -2,10 +2,10 @@
 generic matrix, reconstruction of the matrix from (Ritz values, b), the flat
 s-coordinate vector, and the elementary-conjugation transforms.
 
-For each level m the matrix x_m is diagonalized by the unique eigenvector
-matrix g_m whose last row is all ones (one LAPACK eig call per level, columns
-rescaled to last entry 1); conjugating x_{m+1} by g_m (+) 1 puts
-it in arrow form, whose bordering row b_m and column c_m are the coordinates.
+For each level m < n one LAPACK eig call gives the spectrum Lam_m of x_m in
+canonical order and the unique eigenvector matrix g_m whose last row is all
+ones; conjugating x_{m+1} by g_m (+) 1 puts it in arrow form, whose bordering
+row b_m and column c_m are the coordinates.
 Given the Ritz values, b determines c (their entrywise product is the
 fibre-intrinsic Sigma_m), and the recurrence
 
@@ -23,8 +23,9 @@ import numpy as np
 from . import _kernels
 from .arrow import _pi, _sigma, sigma_matrix
 from .errors import GenericityError, NumericalError
-from .fiber import RitzData, require_generic, ritz_values
-from .numcore import COINCIDE_REL, EIG_REL, as_complex_matrix, as_complex_vector
+from .fiber import RitzData, require_generic
+from .numcore import COINCIDE_REL, EIG_REL, as_complex_matrix, as_complex_vector, eigenvalues
+from .numcore import _canonical_order
 
 
 @dataclass
@@ -49,13 +50,6 @@ class FiberCoords:
                 raise ValueError(f"b_{m} must have {m} entries, got {len(v)}")
 
 
-class ArrowCoordsPair(NamedTuple):
-    """Bordering row and column of one level, as extracted from a matrix."""
-
-    b: np.ndarray
-    c: np.ndarray
-
-
 class CoordsExtraction(NamedTuple):
     """Result of extract_coords: the coordinates plus the derived columns c_m.
 
@@ -66,45 +60,45 @@ class CoordsExtraction(NamedTuple):
     coords: FiberCoords
     c: list
 
-    def pairs(self):
-        """Per-level bordering row/column pairs."""
-        return [ArrowCoordsPair(b, c) for b, c in zip(self.coords.b, self.c)]
 
-
-def diagonalizer(xm, mus):
-    """Eigenvector matrix of xm with columns ordered by mus and last row ones.
-
-    Column i belongs to the LAPACK eigenvalue nearest mus[i]; the match must
-    be one to one.  A last entry below COINCIDE_REL relative to its column
-    means the leading submatrix of order m-1 shares that eigenvalue
-    (GenericityError).  The residual ||xm g - g diag(mus)|| is guaranteed at
-    most EIG_REL * ||xm|| * ||g||, else NumericalError.
-    """
-    xm = as_complex_matrix(xm)
-    mus = as_complex_vector(mus)
-    m = xm.shape[0]
-    if len(mus) != m:
-        raise ValueError(f"need {m} eigenvalues, got {len(mus)}")
+def _eig_sorted(xm):
+    """Spectrum of xm in canonical order and the unit eigenvectors alike."""
     lam, vecs = _kernels.eig(xm)
-    match = np.argmin(np.abs(mus[:, None] - lam[None, :]), axis=1)
-    if len(np.unique(match)) != m:
-        raise NumericalError("eigenvalues do not match the given order one to one")
-    vecs = vecs[:, match]
+    order = _canonical_order(lam)
+    return lam[order], vecs[:, order]
+
+
+def _last_row_ones(xm, lam, vecs):
+    """Rescale the eigenvector columns of xm to last entry 1 and check them."""
     last = vecs[-1]
     small = np.abs(last) < COINCIDE_REL * np.linalg.norm(vecs, axis=0)
     if np.any(small):
         raise GenericityError(
             "eigenvector has (numerically) vanishing last entry: the leading "
-            f"submatrix of order {m - 1} shares the eigenvalue {mus[small][0]}"
+            f"submatrix of order {len(lam) - 1} shares the eigenvalue {lam[small][0]}"
         )
     g = vecs / last
     g[-1] = 1.0
-    residual = np.linalg.norm(xm @ g - g * mus)
+    residual = np.linalg.norm(xm @ g - g * lam)
     if residual > EIG_REL * np.linalg.norm(xm) * np.linalg.norm(g):
         raise NumericalError(
             f"eigenpair residual {residual:.3e} exceeds {EIG_REL:.1e} * ||x|| * ||g||"
         )
     return g
+
+
+def diagonalizer(xm):
+    """``(lam, g)``: the spectrum of xm in canonical order and its eigenvector
+    matrix with columns in the same order and last row ones.
+
+    Both come from one LAPACK eig call.  A last entry below COINCIDE_REL
+    relative to its column means the leading submatrix of order m-1 shares
+    that eigenvalue (GenericityError).  The residual ||xm g - g diag(lam)|| is
+    guaranteed at most EIG_REL * ||xm|| * ||g||, else NumericalError.
+    """
+    xm = as_complex_matrix(xm)
+    lam, vecs = _eig_sorted(xm)
+    return lam, _last_row_ones(xm, lam, vecs)
 
 
 def _validate_b_nonzero(fc):
@@ -118,19 +112,20 @@ def extract_coords(x):
     """Coordinates (Ritz values, b) of a generic matrix, plus the c columns.
 
     Levels are ordered canonically; the stored ordering is what ties the b
-    entries to eigenvalue slots.  Raises GenericityError (naming the first
-    failing disjointness condition) on non-generic input.
+    entries to eigenvalue slots.  Non-generic input raises GenericityError,
+    naming the first failing disjointness condition, before any rescaling.
     """
     x = as_complex_matrix(x)
     n = x.shape[0]
-    r = ritz_values(x)
+    eigs = [_eig_sorted(x[:m, :m]) for m in range(1, n)]
+    r = RitzData([lam for lam, _ in eigs] + [eigenvalues(x)])
     require_generic(r)
     b_list = []
     c_list = []
-    for m in range(1, n):
+    for m, (lam, vecs) in enumerate(eigs, start=1):
         # (g_m (+) 1)^{-1} x_{m+1} (g_m (+) 1) has last row (x[m, :m] g_m, x[m, m])
         # and last column (g_m^{-1} x[:m, m], x[m, m])
-        g = diagonalizer(x[:m, :m], r.level(m))
+        g = _last_row_ones(x[:m, :m], lam, vecs)
         b_list.append(x[m, :m] @ g)
         c_list.append(np.linalg.solve(g, x[:m, m]))
     return CoordsExtraction(FiberCoords(r, b_list), c_list)

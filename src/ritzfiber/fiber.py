@@ -1,5 +1,5 @@
-"""Ritz values, genericity classification, fibre descriptors, and the unit
-upper Hessenberg fibre representative.
+"""Ritz values, genericity classification, and the unit upper Hessenberg
+fibre representative.
 
 The Ritz values of x are the eigenvalue lists of all leading principal
 submatrices x_1, ..., x_n.  They determine the diagonal of x and cut the space
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GenericityError
+from .errors import GenericityError, NumericalError
 from .numcore import (
     COINCIDE_REL,
     MonicPoly,
@@ -91,18 +91,6 @@ class GenericityReport:
             if m <= len(self.g2) and not self.g2[m - 1]:
                 return f"(G2_{m})"
         return None
-
-
-@dataclass
-class FiberDescriptor:
-    """Ritz values together with the diagonal entries they force."""
-
-    ritz: RitzData
-    diag: np.ndarray
-
-    @classmethod
-    def from_ritz(cls, r):
-        return cls(r, diagonal_from_ritz(r))
 
 
 def ritz_values(x):
@@ -194,13 +182,16 @@ def strong_regularity_check(x):
     x = as_complex_matrix(x)
     n = x.shape[0]
     rows = []
-    for m in range(1, n + 1):
-        xm = x[:m, :m]
-        power = np.eye(m, dtype=np.complex128)
-        for k in range(1, m + 1):
-            grad = np.zeros((n, n), dtype=np.complex128)
-            grad[:m, :m] = k * power.T
-            rows.append(grad.ravel())
-            power = power @ xm
+    with np.errstate(all="ignore"):
+        for m in range(1, n + 1):
+            xm = x[:m, :m]
+            power = np.eye(m, dtype=np.complex128)
+            for k in range(1, m + 1):
+                grad = np.zeros((n, n), dtype=np.complex128)
+                grad[:m, :m] = k * power.T
+                rows.append(grad.ravel())
+                power = power @ xm
     stacked = np.array(rows)
+    if not np.all(np.isfinite(stacked)):
+        raise NumericalError("powers of a leading block overflow")
     return numeric_rank(stacked) == n * (n + 1) // 2

@@ -187,9 +187,8 @@ def level_flow(x, m, qs):
         raise ValueError(f"level m={m} out of range 1..{n - 1}")
     if len(qs) != m:
         raise ValueError(f"need {m} flow times, got {len(qs)}")
-    r = ritz_values(x)
-    require_generic(r)
-    g = diagonalizer(x[:m, :m], r.level(m))
+    require_generic(ritz_values(x))
+    _, g = diagonalizer(x[:m, :m])
     ginv = np.linalg.solve(g, np.eye(m, dtype=np.complex128))
     with np.errstate(all="ignore"):
         dvec = np.exp(qs)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
+from .errors import NumericalError
 
 
 # relative eigenpair residual bound: ||x g - g Lam|| <= EIG_REL ||x|| ||g||
@@ -45,19 +46,15 @@ def as_complex_vector(v):
     return a
 
 
-def leading_submatrix(x, m):
-    """Leading principal submatrix x(1:m, 1:m), returned as a copy."""
-    x = as_complex_matrix(x)
-    n = x.shape[0]
-    if not 1 <= m <= n:
-        raise ValueError(f"submatrix order m={m} out of range 1..{n}")
-    return x[:m, :m].copy()
+def _canonical_order(eigs):
+    """Indices that sort eigenvalues lexicographically by (real, imag)."""
+    return np.lexsort((eigs.imag, eigs.real))
 
 
 def canonical_sort(eigs):
     """Sort eigenvalues lexicographically by (real, imag)."""
     eigs = np.asarray(eigs, dtype=np.complex128)
-    return eigs[np.lexsort((eigs.imag, eigs.real))]
+    return eigs[_canonical_order(eigs)]
 
 
 def eigenvalues(x):
@@ -123,36 +120,15 @@ def charpoly_from_eigs(eigs):
     """Monic polynomial with the given roots, by stable product expansion."""
     eigs = np.atleast_1d(np.asarray(eigs, dtype=np.complex128)).ravel()
     full = np.ones(1, dtype=np.complex128)
-    for mu in eigs:
-        nxt = np.zeros(len(full) + 1, dtype=np.complex128)
-        nxt[1:] += full
-        nxt[:-1] -= mu * full
-        full = nxt
+    with np.errstate(all="ignore"):
+        for mu in eigs:
+            nxt = np.zeros(len(full) + 1, dtype=np.complex128)
+            nxt[1:] += full
+            nxt[:-1] -= mu * full
+            full = nxt
+    if not np.isfinite(full).all():
+        raise NumericalError("characteristic polynomial coefficients overflow")
     return MonicPoly(full[:-1])
-
-
-def _full_coeffs(p):
-    if isinstance(p, MonicPoly):
-        return p.full()
-    c = np.atleast_1d(np.asarray(p, dtype=np.complex128)).ravel()
-    return c
-
-
-def poly_eval(p, z):
-    """Evaluate a polynomial (MonicPoly or low-first coefficient array) at z."""
-    c = _full_coeffs(p)
-    acc = 0.0 + 0.0j
-    for coeff in c[::-1]:
-        acc = acc * z + coeff
-    return acc
-
-
-def poly_derivative(p):
-    """Coefficient array (low degree first) of the derivative; non-monic."""
-    c = _full_coeffs(p)
-    if len(c) <= 1:
-        return np.zeros(1, dtype=np.complex128)
-    return c[1:] * np.arange(1, len(c), dtype=np.float64)
 
 
 def poly_quotient_in_basis(target, basis):
@@ -167,7 +143,10 @@ def poly_quotient_in_basis(target, basis):
     for k, p in enumerate(basis):
         if not isinstance(p, MonicPoly) or p.degree != k:
             raise ValueError(f"basis element {k} must be a MonicPoly of degree {k}")
-    work = _full_coeffs(target)
+    if isinstance(target, MonicPoly):
+        work = target.full()
+    else:
+        work = np.atleast_1d(np.asarray(target, dtype=np.complex128)).ravel()
     while len(work) > 1 and work[-1] == 0.0:
         work = work[:-1]
     if len(work) > m:

@@ -22,7 +22,6 @@ from ritzfiber import (
     JordanSpec,
     SISOSystem,
     arrow_factorize,
-    bc_product,
     cauchy_matrix,
     charpoly_from_eigs,
     diagonal_similarity_coords,
@@ -95,7 +94,7 @@ def test_criterion_2_bc_product_identity():
     for res in _c1_samples()["samples"]:
         r = res.coords.ritz
         for m in range(1, r.n):
-            sig = bc_product(r, m)
+            sig = sigma_matrix(r, m)
             prod = res.coords.b[m - 1] * res.c[m - 1]
             worst = max(
                 worst, float(np.max(np.abs(prod - sig)) / np.max(np.abs(sig)))

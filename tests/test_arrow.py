@@ -8,7 +8,6 @@ from ritzfiber import (
     RitzData,
     SpectralCollisionError,
     arrow_factorize,
-    bc_product,
     cauchy_matrix,
     eigenvalues,
     extract_coords,
@@ -65,11 +64,6 @@ class TestSigmaMatrix:
 
     def test_spread_spectrum(self):
         np.testing.assert_allclose(sigma_matrix(RitzData([[0], [2, -2]]), 1), [4.0])
-
-    def test_bc_product_alias(self):
-        r = RitzData([[1.0], [0.0, 3.0]])
-        np.testing.assert_allclose(bc_product(r, 1), [2.0])
-        np.testing.assert_allclose(bc_product(r, 1), sigma_matrix(r, 1))
 
 
 class TestPiMatrix:
@@ -141,7 +135,7 @@ class TestFibreIdentities:
         res = extract_coords(x)
         for m in range(1, n):
             prod = res.coords.b[m - 1] * res.c[m - 1]
-            sig = bc_product(res.coords.ritz, m)
+            sig = sigma_matrix(res.coords.ritz, m)
             assert np.max(np.abs(prod - sig)) < 1e-8 * np.max(np.abs(sig))
 
     @pytest.mark.parametrize("n", [3, 5])

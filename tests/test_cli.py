@@ -19,6 +19,13 @@ BIG2_DOC = {"n": 2, "entries": [[1e308, 1e308], [1e308, 1e308]]}
 BIG3_DOC = {"n": 3, "entries": [[1e300] * 3] * 3}
 
 
+def run_without_warnings(capsys, argv):
+    """run_json with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run_json(capsys, argv)
+
+
 def write_doc(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -60,6 +67,14 @@ class TestCheck:
         code, doc, _ = run_json(capsys, ["check", "--input", path])
         assert code == 0 and doc["generic"] is False
 
+    def test_overflowing_powers_map_to_4(self, tmp_path, capsys):
+        # x_3^2 has entries of order 1e400
+        doc = {"n": 3, "entries": [[1e200, 1, 0], [1, 2e200, 1], [0, 1, -1e200]]}
+        path = write_doc(tmp_path, "x.json", doc)
+        code, out, err = run_without_warnings(capsys, ["check", "--input", path])
+        assert code == 4 and out is None
+        assert err.startswith("error:") and "Warning" not in err
+
 
 class TestHess:
     def test_from_ritz_doc(self, tmp_path, capsys):
@@ -68,6 +83,14 @@ class TestHess:
         assert code == 0
         x = parse_matrix_doc(doc)
         np.testing.assert_allclose(x, [[0, 1], [1, 0]], atol=1e-12)
+
+    def test_overflowing_charpoly_maps_to_4(self, tmp_path, capsys):
+        # P_2 has the constant coefficient -1e600
+        doc = {"ritz": [[1e300], [1e300, -1e300], [1e300, 2e300, 3e300]]}
+        path = write_doc(tmp_path, "r.json", doc)
+        code, out, err = run_without_warnings(capsys, ["hess", "--input", path])
+        assert code == 4 and out is None
+        assert err.startswith("error:") and "Warning" not in err
 
 
 class TestCoordsReconstruct:
@@ -137,9 +160,7 @@ class TestFlow:
     def test_overflow_maps_to_4(self, flags, tmp_path, capsys):
         doc = {"n": 3, "entries": [[1, 2, 3], [4, 5, 6], [7, 8, 10]]}
         path = write_doc(tmp_path, "x.json", doc)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run_json(capsys, ["flow", "--input", path, *flags])
+        code, out, err = run_without_warnings(capsys, ["flow", "--input", path, *flags])
         assert code == 4 and out is None
         assert err.startswith("error:") and err.count("error:") == 1
 
@@ -228,9 +249,7 @@ class TestControl:
     )
     def test_overflow_maps_to_4(self, doc, flag, tmp_path, capsys):
         path = write_doc(tmp_path, "s.json", doc)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run_json(capsys, ["control", "--input", path, flag])
+        code, out, err = run_without_warnings(capsys, ["control", "--input", path, flag])
         assert code == 4 and out is None
         assert err.startswith("error:") and err.count("error:") == 1
 
@@ -238,9 +257,7 @@ class TestControl:
     def test_representable_krylov_matrix(self, flag, key, tmp_path, capsys):
         # m = 1: the Krylov matrix is (1e308), finite and of full rank
         path = write_doc(tmp_path, "s.json", BIG2_DOC)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run_json(capsys, ["control", "--input", path, flag])
+        code, out, err = run_without_warnings(capsys, ["control", "--input", path, flag])
         assert code == 0 and out == {key: True} and err == ""
 
 
@@ -304,9 +321,7 @@ class TestExitCodes:
     def test_overflowing_spectrum_maps_to_4(self, tmp_path, capsys):
         # the level-2 spectrum {0, 2e308} is not representable
         path = write_doc(tmp_path, "x.json", BIG2_DOC)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run_json(capsys, ["ritz", "--input", path])
+        code, out, err = run_without_warnings(capsys, ["ritz", "--input", path])
         assert code == 4 and out is None
         assert err.startswith("error:") and "Traceback" not in err
 

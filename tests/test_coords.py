@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from helpers import (
@@ -18,9 +20,11 @@ from ritzfiber import (
     eigenvalues,
     extract_coords,
     reconstruct,
+    ritz_values,
     s_coordinates,
     transpose_coords,
 )
+from ritzfiber import _kernels
 
 X0 = np.array([[0, 1], [1, 0]], dtype=complex)
 XS = np.array([[0, 0.5], [2, 0]], dtype=complex)
@@ -28,40 +32,68 @@ XS = np.array([[0, 0.5], [2, 0]], dtype=complex)
 
 class TestDiagonalizer:
     def test_swap_matrix_plus(self):
-        g = diagonalizer(X0, [1.0, -1.0])
-        np.testing.assert_allclose(g[:, 0], [1, 1], atol=1e-10)
+        lam, g = diagonalizer(X0)
+        np.testing.assert_allclose(lam, [-1, 1], atol=1e-12)
+        np.testing.assert_allclose(g[:, 1], [1, 1], atol=1e-10)
 
     def test_swap_matrix_minus(self):
-        g = diagonalizer(X0, [-1.0, 1.0])
+        lam, g = diagonalizer(X0)
         np.testing.assert_allclose(g[:, 0], [-1, 1], atol=1e-10)
 
     def test_scalar(self):
-        np.testing.assert_allclose(diagonalizer(np.array([[2.0]]), [2.0]), [[1.0]])
+        lam, g = diagonalizer(np.array([[2.0]]))
+        assert np.array_equal(lam, [2.0]) and np.array_equal(g, [[1.0]])
 
     @pytest.mark.parametrize("n", [2, 4, 7])
     def test_residual_and_exact_last_entry(self, n):
         rng = np.random.default_rng(n)
         x = complex_randn(rng, n, n)
-        mus = eigenvalues(x)
-        g = diagonalizer(x, mus)
+        lam, g = diagonalizer(x)
         assert np.all(g[-1] == 1.0)
-        for mu, u in zip(mus, g.T):
+        for mu, u in zip(lam, g.T):
             res = np.linalg.norm(x @ u - mu * u)
             assert res <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(u)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_spectrum_is_eigenvalues(self, n, real):
+        # real matrices have conjugate pairs, whose canonical order is decided
+        # by the imaginary part alone
+        rng = np.random.default_rng(70 + n)
+        x = rng.standard_normal((n, n)) if real else complex_randn(rng, n, n)
+        lam, _ = diagonalizer(x)
+        assert np.array_equal(lam, eigenvalues(x))
 
     def test_vanishing_last_entry_is_genericity_violation(self):
         # E(x_1) = {1} is shared with E(x_2), so the eigenvector for 1 ends in 0
         x = np.diag([1.0, 2.0]).astype(complex)
         with pytest.raises(GenericityError):
-            diagonalizer(x, [1.0, 2.0])
+            diagonalizer(x)
 
-    def test_order_must_match_one_to_one(self):
-        with pytest.raises(NumericalError):
-            diagonalizer(X0, [1.0, 1.0])
+    def test_non_eigenvalue_fails_residual_bound(self, monkeypatch):
+        eig = _kernels.eig
 
-    def test_non_eigenvalue_fails_residual_bound(self):
-        with pytest.raises(NumericalError):
-            diagonalizer(X0, [-1.0, 1.5])
+        def shifted(x):
+            lam, vecs = eig(x)
+            return lam + 0.5, vecs
+
+        monkeypatch.setattr(_kernels, "eig", shifted)
+        with pytest.raises(NumericalError, match="residual"):
+            diagonalizer(X0)
+
+
+def counted_eigensolves(monkeypatch):
+    """Count the calls into the package's one eigensolver module."""
+    calls = Counter()
+    for name in ("eig", "eigvals"):
+        solver = getattr(_kernels, name)
+
+        def counted(x, name=name, solver=solver):
+            calls[name] += 1
+            return solver(x)
+
+        monkeypatch.setattr(_kernels, name, counted)
+    return calls
 
 
 class TestExtractCoords:
@@ -75,12 +107,33 @@ class TestExtractCoords:
         res = extract_coords(XS)
         np.testing.assert_allclose(res.coords.b[0], [2.0], atol=1e-12)
         np.testing.assert_allclose(res.c[0], [0.5], atol=1e-12)
-        pair = res.pairs()[0]
-        np.testing.assert_allclose(pair.b * pair.c, [1.0], atol=1e-12)
+        np.testing.assert_allclose(res.coords.b[0] * res.c[0], [1.0], atol=1e-12)
 
     def test_identity_rejected(self):
         with pytest.raises(GenericityError, match=r"\(G2_1\)"):
             extract_coords(np.eye(2))
+
+    def test_gate_runs_before_rescaling(self):
+        # the eigenvector e_1 of x_2 = diag(1, 2) has a vanishing last entry;
+        # the genericity gate must name the failing condition first
+        with pytest.raises(GenericityError, match=r"\(G2_1\)"):
+            extract_coords(np.diag([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_levels_are_ritz_values(self, n, real):
+        rng = np.random.default_rng(80 + n)
+        x = rng.standard_normal((n, n)) if real else complex_randn(rng, n, n)
+        got = extract_coords(x).coords.ritz.levels
+        want = ritz_values(x).levels
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_one_eigensolve_per_level(self, n, monkeypatch):
+        x = random_generic_matrix(np.random.default_rng(90 + n), n)
+        calls = counted_eigensolves(monkeypatch)
+        extract_coords(x)
+        assert calls == Counter(eig=n - 1, eigvals=1)
 
 
 class TestComplementC:

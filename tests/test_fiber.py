@@ -84,14 +84,6 @@ class TestGenericityReport:
         assert rep.generic and rep.ill_conditioned
 
 
-class TestFiberDescriptor:
-    def test_from_ritz(self):
-        from ritzfiber import FiberDescriptor
-
-        fd = FiberDescriptor.from_ritz(RitzData([[1], [1, 2], [1, 2, 3]]))
-        np.testing.assert_allclose(fd.diag, [1, 2, 3])
-
-
 class TestDiagonalFromRitz:
     def test_swap_matrix(self):
         np.testing.assert_allclose(diagonal_from_ritz(RitzData([[0], [-1, 1]])), [0, 0])

@@ -10,7 +10,7 @@ reproducible.
 from fractions import Fraction
 
 import numpy as np
-from helpers import random_fiber_coords, random_generic_matrix
+from helpers import random_fiber_coords, random_generic_matrix, random_generic_ritz
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_arrow import product_route_pi, random_arrow
@@ -18,11 +18,14 @@ from test_arrow import product_route_pi, random_arrow
 from ritzfiber import (
     RitzData,
     SparsePoly,
+    eigen_flow,
     eigenvalues,
     extract_coords,
     genericity_report,
+    hessenberg_representative,
     pi_matrix,
     poisson_bracket,
+    s_coordinates,
     sigma_matrix,
     transpose_coords,
 )
@@ -59,6 +62,28 @@ def test_pi_matches_eigenvector_product(seed, m):
     lam = eigenvalues(a.to_dense())
     closed = pi_matrix(a.d, lam)
     assert np.max(np.abs(closed - product_route_pi(a, lam))) < 1e-8 * np.max(np.abs(closed))
+
+
+@PROPERTY
+@given(seed=SEEDS, n=st.integers(min_value=2, max_value=8))
+def test_hessenberg_representative_has_unit_coordinates(seed, n):
+    y = hessenberg_representative(random_generic_ritz(np.random.default_rng(seed), n))
+    assert np.max(np.abs(s_coordinates(y) - 1.0)) < 1e-12
+
+
+@PROPERTY
+@given(seed=SEEDS, n=st.integers(min_value=2, max_value=8), data=st.data())
+def test_eigen_flow_rescales_exactly_its_slot(seed, n, data):
+    # eigen_flow's g_m and s_coordinates' b_m share one slot order per level
+    rng = np.random.default_rng(seed)
+    x = random_generic_matrix(rng, n, normalized=True)
+    j = data.draw(st.integers(min_value=1, max_value=n * (n - 1) // 2), label="j")
+    q = complex(rng.uniform(-1.0, 1.0), rng.uniform(-np.pi, np.pi))
+    s0 = s_coordinates(x)
+    want = s0.copy()
+    want[j - 1] *= np.exp(-q)
+    got = s_coordinates(eigen_flow(x, j, q))
+    assert np.max(np.abs(got - want)) < 1e-7 * np.max(np.abs(want))
 
 
 def brute_force_report(levels):
