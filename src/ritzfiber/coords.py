@@ -12,7 +12,11 @@ fibre-intrinsic Sigma_m), and the recurrence
     g_1 = (1),   g_{m+1} = [g_m P_{m+1}(Lam_m) P_m'(Lam_m)^{-1} diag(b_m)^{-1}
                                  Cauchy(Lam_m, Lam_{m+1}); ones]
 
-rebuilds the full eigenvector matrix, hence x = g_n Lam_n g_n^{-1}.
+rebuilds the full eigenvector matrix, hence x = g_n Lam_n g_n^{-1}.  The
+genericity gate ``fiber.require_generic`` returns the per-level difference
+matrices it was taken from; ``reconstruct`` runs the recurrence on them
+(``fiber._eigvec_chain``) and ``transpose_coords`` takes Sigma_m and Pi_m
+from them.
 """
 
 from dataclasses import dataclass, field
@@ -21,9 +25,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .arrow import _pi, _sigma, sigma_matrix
+from .arrow import sigma_matrix
 from .errors import GenericityError, NumericalError
-from .fiber import RitzData, require_generic
+from .fiber import RitzData, _eigvec_chain, require_generic
 from .numcore import COINCIDE_REL, EIG_REL, as_complex_matrix, as_complex_vector, eigenvalues
 from .numcore import _canonical_order
 
@@ -101,8 +105,8 @@ def diagonalizer(xm):
     return lam, _last_row_ones(xm, lam, vecs)
 
 
-def _validate_b_nonzero(fc):
-    thr = COINCIDE_REL * fc.ritz.scale()
+def _validate_b_nonzero(fc, scale):
+    thr = COINCIDE_REL * scale
     for m, v in enumerate(fc.b, start=1):
         if np.any(np.abs(v) <= thr):
             raise ValueError(f"b_{m} has a (numerically) zero entry")
@@ -144,22 +148,15 @@ def complement_c_from_b(r, m, b):
 def reconstruct(fc):
     """Rebuild the unique generic matrix with the given coordinates.
 
-    Runs the eigenvector recurrence level by level and returns
+    Runs the eigenvector chain level by level and returns
     x = g_n Lam_n g_n^{-1}.  One genericity gate up front covers every level
-    (its global threshold is at least each level's local one), so the Sigma
-    and Cauchy factors need no further checks.
+    (its global threshold is at least each level's local one), and the Sigma
+    and Cauchy factors reuse the difference matrices the gate built.
     """
-    require_generic(fc.ritz)
-    _validate_b_nonzero(fc)
-    r = fc.ritz
-    g = np.ones((1, 1), dtype=np.complex128)
-    for m in range(1, r.n):
-        mus, nxt = r.level(m), r.level(m + 1)
-        # P_{m+1}(Lam_m) P_m'(Lam_m)^{-1} diag(b_m)^{-1} = -Sigma_m / b_m
-        w = -_sigma(mus, nxt) / fc.b[m - 1]
-        top = g @ (w[:, None] / (mus[:, None] - nxt[None, :]))
-        g = np.vstack([top, np.ones((1, m + 1), dtype=np.complex128)])
-    lam = r.level(r.n)
+    p = require_generic(fc.ritz)
+    _validate_b_nonzero(fc, p.scale)
+    *_, (_, g, _) = _eigvec_chain(p, fc.b)  # the chain ends with g_n
+    lam = fc.ritz.level(fc.ritz.n)
     return np.linalg.solve(g.T, (g * lam[None, :]).T).T
 
 
@@ -176,17 +173,21 @@ def s_coordinates(x):
 def transpose_coords(fc):
     """Coordinates of the transposed matrix: b~_m = Pi_m * Sigma_m / b_m.
 
-    Pi_m is the row/column eigenvector pairing of level m over level m-1
-    (all ones for m = 1); both factors depend only on the Ritz values, so the
-    transform is an involution on each fibre.  One genericity gate covers all.
+    Pi_m is the row/column eigenvector pairing of level m over level m-1,
+    Pi_m = 1 + Sigma_{m-1} (1 / D_{m-1})^2 with D_{m-1} = Lam_{m-1}[:, None]
+    - Lam_m[None, :] (all ones for m = 1); both factors depend only on the
+    Ritz values, so the transform is an involution on each fibre.  One
+    genericity gate covers all levels, and its difference matrices give every
+    factor.
     """
-    require_generic(fc.ritz)
-    _validate_b_nonzero(fc)
-    levels = [np.zeros(0, dtype=np.complex128)] + fc.ritz.levels  # levels[m] = Lam_m
-    new_b = [
-        _pi(levels[m - 1], levels[m]) * _sigma(levels[m], levels[m + 1]) / fc.b[m - 1]
-        for m in range(1, fc.ritz.n)
-    ]
+    p = require_generic(fc.ritz)
+    _validate_b_nonzero(fc, p.scale)
+    pi = 1.0
+    new_b = []
+    for m, b in enumerate(fc.b, start=1):
+        sigma = p.sigma(m)
+        new_b.append(pi * sigma / b)
+        pi = 1.0 + sigma @ (1.0 / p.between[m - 1]) ** 2
     return FiberCoords(RitzData([lev.copy() for lev in fc.ritz.levels]), new_b)
 
 

@@ -5,9 +5,14 @@ The Ritz values of x are the eigenvalue lists of all leading principal
 submatrices x_1, ..., x_n.  They determine the diagonal of x and cut the space
 of matrices into fibres; each fibre contains exactly one unit upper Hessenberg
 matrix, which this module constructs directly from the Ritz values.
+
+The genericity gaps, Sigma_m = b_m * c_m and the Cauchy factor of the
+eigenvector chain all come from two difference matrices per level, which
+``require_generic`` builds once per call and returns.
 """
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -19,7 +24,6 @@ from .numcore import (
     charpoly_from_eigs,
     eigenvalues,
     magnitude_scale,
-    min_gap,
     numeric_rank,
     poly_quotient_in_basis,
 )
@@ -104,16 +108,32 @@ def ritz_values(x):
     return RitzData([eigenvalues(x[:m, :m]) for m in range(1, n + 1)])
 
 
-def genericity_report(r):
-    """Evaluate the disjointness conditions on a set of Ritz values.
+def _level_differences(levels):
+    """Yield ``(E_m, D_m, gap of E_m, gap of D_m)`` for m = 1, ..., n.
 
-    Two eigenvalues count as equal when they are within COINCIDE_REL times the
-    global Ritz scale; the scale is global because the cross-level conditions
-    compare values from different levels.
+    E_m = Lam_m[:, None] - Lam_m[None, :] with its zero diagonal set to 1 after
+    the gap is taken, so that its row products are P_m'(Lam_m); D_m =
+    Lam_m[:, None] - Lam_{m+1}[None, :], None at m = n.  The gaps take the
+    same operands and ``abs`` as ``numcore.min_gap``.
     """
-    thr = COINCIDE_REL * r.scale()
-    within = [min_gap(lev) for lev in r.levels]
-    between = [min_gap(lo, hi) for lo, hi in zip(r.levels, r.levels[1:])]
+    # both are built transposed, so that row products and the Cauchy factor
+    # run over contiguous columns
+    for m, lev in enumerate(levels, start=1):
+        e = (lev[None, :] - lev[:, None]).T
+        gaps = np.abs(e)
+        np.fill_diagonal(gaps, np.inf)
+        within = float(gaps.min())
+        np.fill_diagonal(e, 1.0)
+        if m == len(levels):
+            yield e, None, within, None
+        else:
+            d = (lev[None, :] - levels[m][:, None]).T
+            yield e, d, within, float(np.abs(d).min())
+
+
+def _genericity(scale, within, between):
+    """GenericityReport on the within-level and adjacent-level gaps."""
+    thr = COINCIDE_REL * scale
     g1 = [gap > thr for gap in within]
     g2 = [gap > thr for gap in between]
     generic = all(g1) and all(g2)
@@ -121,12 +141,63 @@ def genericity_report(r):
     return GenericityReport(g1, g2, generic, generic and in_grey_zone)
 
 
+class _LevelPass:
+    """Every level's difference matrices, built once per call, and the
+    genericity report taken from them: ``within[m-1]`` is E_m and
+    ``between[m-1]`` is D_m of _level_differences, for m < n."""
+
+    def __init__(self, r):
+        within, between, within_gaps, between_gaps = zip(*_level_differences(r.levels))
+        self.scale = r.scale()
+        self.within = within[:-1]
+        self.between = between[:-1]
+        self.report = _genericity(self.scale, within_gaps, between_gaps[:-1])
+
+    def sigma(self, m):
+        """Sigma_m = -P_{m+1}(Lam_m) / P_m'(Lam_m), check-free."""
+        return -self.between[m - 1].prod(axis=1) / self.within[m - 1].prod(axis=1)
+
+
+def _eigvec_chain(p, b=None):
+    """Yield ``(m, g_m, Sigma_m)`` for m = 1, ..., n-1, then ``(n, g_n, None)``.
+
+    g_m is the eigenvector matrix of x_m with last row ones at the fibre point
+    with bordering rows b (b = 1 when None), from the Cauchy recurrence
+        g_{m+1} = [g_m diag(-Sigma_m / b_m) Cauchy(Lam_m, Lam_{m+1}); ones].
+    ``p`` is the _LevelPass of generic Ritz values.
+    """
+    g = np.ones((1, 1), dtype=np.complex128)
+    for m, d in enumerate(p.between, start=1):
+        sigma = p.sigma(m)
+        yield m, g, sigma
+        w = -sigma if b is None else -sigma / b[m - 1]
+        nxt = np.empty((m + 1, m + 1), dtype=np.complex128)
+        np.matmul(g, w[:, None] / d, out=nxt[:m])
+        nxt[m] = 1.0
+        g = nxt
+    yield len(p.between) + 1, g, None
+
+
+def genericity_report(r):
+    """Evaluate the disjointness conditions on a set of Ritz values.
+
+    Two eigenvalues count as equal when they are within COINCIDE_REL times the
+    global Ritz scale; the scale is global because the cross-level conditions
+    compare values from different levels.  Only the gaps are kept: each
+    level's difference matrices are dropped as soon as its gaps are taken.
+    """
+    within, between = zip(*((w, b) for _, _, w, b in _level_differences(r.levels)))
+    return _genericity(r.scale(), within, between[:-1])
+
+
 def require_generic(r):
-    """Raise GenericityError naming the first failing condition, if any."""
-    rep = genericity_report(r)
-    if not rep.generic:
-        raise GenericityError(f"{rep.first_failure()} fails: fibre is not generic")
-    return rep
+    """Raise GenericityError naming the first failing condition, if any;
+    otherwise return the level pass the gate was taken from, whose difference
+    matrices the fibre arithmetic reuses."""
+    p = _LevelPass(r)
+    if not p.report.generic:
+        raise GenericityError(f"{p.report.first_failure()} fails: fibre is not generic")
+    return p
 
 
 def diagonal_from_ritz(r):
@@ -145,11 +216,38 @@ def level_charpolys(r):
 def hessenberg_representative(r):
     """The unique unit upper Hessenberg matrix with the given Ritz values.
 
-    Column m+1 above the diagonal is read off from the Hessenberg
-    characteristic-polynomial recurrence
+    On generic Ritz values it is the fibre point with b = 1: there c_m =
+    Sigma_m and the bordering row is e_m^T, so column m+1 above the diagonal
+    is y[:m, m] = g_m Sigma_m, with g_m from the eigenvector chain that
+    ``reconstruct`` runs.  The representative exists on every fibre, so
+    non-generic Ritz values take the characteristic-polynomial recurrence.
+    A non-finite result on either route raises NumericalError.
+    """
+    with np.errstate(all="ignore"):
+        p = _LevelPass(r)
+        y = _hessenberg_closed_form(r, p) if p.report.generic else _hessenberg_recurrence(r)
+    if not np.all(np.isfinite(y)):
+        raise NumericalError("Hessenberg representative overflows")
+    return y
+
+
+def _hessenberg_closed_form(r, p):
+    n = r.n
+    y = np.zeros((n, n), dtype=np.complex128)
+    np.fill_diagonal(y, diagonal_from_ritz(r))
+    y[np.arange(1, n), np.arange(n - 1)] = 1.0
+    # stop the chain before it builds g_n, which y does not need
+    for m, g, sigma in islice(_eigvec_chain(p), n - 1):
+        y[:m, m] = g @ sigma
+    return y
+
+
+def _hessenberg_recurrence(r):
+    """The representative from the Hessenberg characteristic-polynomial
+    recurrence
         P_{m+1}(l) = (l - d_{m+1}) P_m(l) - sum_k y[k, m+1] P_{k-1}(l),
-    so the entries are the coefficients of (l - d_{m+1}) P_m - P_{m+1} in the
-    basis (P_0, ..., P_{m-1}).  The construction is unconditional: it works
+    so column m+1 above the diagonal holds the coefficients of
+    (l - d_{m+1}) P_m - P_{m+1} in the basis (P_0, ..., P_{m-1}).  It works
     for arbitrary Ritz values, generic or not.
     """
     n = r.n

@@ -68,7 +68,8 @@ def eigenvalues(x):
 
 def min_gap(a, b=None):
     """Smallest |a_i - b_j|, or |a_i - a_k| over i != k when b is omitted;
-    inf when there is no pair.  Every disjointness check uses it."""
+    inf when there is no pair.  The arrow-matrix checks use it; the genericity
+    gate takes the same gaps from the difference matrices it keeps."""
     if b is None:
         diff = np.abs(a[:, None] - a[None, :])
         np.fill_diagonal(diff, np.inf)

@@ -92,6 +92,21 @@ class TestHess:
         assert code == 4 and out is None
         assert err.startswith("error:") and "Warning" not in err
 
+    @pytest.mark.parametrize("ritz", [
+        # not generic, so the recurrence: its characteristic polynomials are
+        # finite, but (l - d_4) P_3 is not
+        [[1e100], [1e100, -1e100], [1e100, 2e100, 3e100], [1, 2, 3, 1e102]],
+        # generic, so the closed form: Sigma_1 = 2e400
+        [[1e200], [0, 3e200]],
+        # a difference of two Ritz values overflows
+        [[1e308], [0, -1e308]],
+    ])
+    def test_overflowing_representative_maps_to_4(self, ritz, tmp_path, capsys):
+        path = write_doc(tmp_path, "r.json", {"ritz": ritz})
+        code, out, err = run_without_warnings(capsys, ["hess", "--input", path])
+        assert code == 4 and out is None
+        assert err.startswith("error:") and "Warning" not in err
+
 
 class TestCoordsReconstruct:
     def test_reconstruct_example(self, tmp_path, capsys):

@@ -11,6 +11,7 @@ from ritzfiber import (
     s_coordinates,
     strong_regularity_check,
 )
+from ritzfiber.fiber import _hessenberg_recurrence
 
 X0 = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -149,6 +150,25 @@ class TestHessenbergRepresentative:
             r = random_generic_ritz(rng, n)
             s = s_coordinates(hessenberg_representative(r))
             assert np.max(np.abs(s - 1.0)) < 1e-7
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_closed_form_matches_recurrence(self, n):
+        # Ritz values of actual matrices: independently drawn levels describe
+        # fibres whose points have enormous entries (see random_fiber_coords)
+        rng = np.random.default_rng(40 + n)
+        for _ in range(3):
+            r = ritz_values(random_generic_matrix(rng, n, normalized=True))
+            y = hessenberg_representative(r)
+            assert np.max(np.abs(y - _hessenberg_recurrence(r))) <= 1e-10 * r.scale()
+
+    @pytest.mark.parametrize("n", [32, 48])
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_large_n_ritz_drift(self, n, seed):
+        # the characteristic-polynomial recurrence drifts by 1e-8 to 3e-8 of
+        # the scale on these n = 48 cases
+        rng = np.random.default_rng(seed)
+        r = ritz_values(complex_randn(rng, n, n) / np.sqrt(n))
+        assert ritz_gap(ritz_values(hessenberg_representative(r)), r) <= 1e-10 * r.scale()
 
 
 class TestStrongRegularity:

@@ -7,9 +7,11 @@ draw sparse polynomials directly.  Runs are derandomized so the suite is
 reproducible.
 """
 
+import sys
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from helpers import random_fiber_coords, random_generic_matrix, random_generic_ritz
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from test_arrow import product_route_pi, random_arrow
 from ritzfiber import (
     RitzData,
     SparsePoly,
+    diagonal_similarity_coords,
     eigen_flow,
     eigenvalues,
     extract_coords,
@@ -25,10 +28,12 @@ from ritzfiber import (
     hessenberg_representative,
     pi_matrix,
     poisson_bracket,
+    reconstruct,
     s_coordinates,
     sigma_matrix,
     transpose_coords,
 )
+from ritzfiber import fiber, numcore
 from ritzfiber.fiber import GREY_ZONE_FACTOR
 from ritzfiber.numcore import COINCIDE_REL
 
@@ -84,6 +89,86 @@ def test_eigen_flow_rescales_exactly_its_slot(seed, n, data):
     want[j - 1] *= np.exp(-q)
     got = s_coordinates(eigen_flow(x, j, q))
     assert np.max(np.abs(got - want)) < 1e-7 * np.max(np.abs(want))
+
+
+def rel_err(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def random_diagonal(rng, n):
+    return rng.uniform(0.5, 2.0, n) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
+
+
+def reconstruct_by_levels(fc):
+    """reconstruct as a per-level loop over sigma_matrix and vstack: the
+    oracle for the shared eigenvector chain."""
+    r = fc.ritz
+    g = np.ones((1, 1), dtype=complex)
+    for m in range(1, r.n):
+        mus, nxt = r.level(m), r.level(m + 1)
+        w = -sigma_matrix(r, m) / fc.b[m - 1]
+        top = g @ (w[:, None] / (mus[:, None] - nxt[None, :]))
+        g = np.vstack([top, np.ones((1, m + 1))])
+    lam = r.level(r.n)
+    return np.linalg.solve(g.T, (g * lam[None, :]).T).T
+
+
+@PROPERTY
+@given(seed=SEEDS, n=st.integers(min_value=1, max_value=8))
+def test_extract_reconstruct_round_trip(seed, n):
+    x = random_generic_matrix(np.random.default_rng(seed), n)
+    assert rel_err(reconstruct(extract_coords(x).coords), x) < 1e-10
+
+
+@PROPERTY
+@given(seed=SEEDS, n=st.integers(min_value=2, max_value=8))
+def test_diagonal_similarity_is_a_group_action(seed, n):
+    rng = np.random.default_rng(seed)
+    fc = random_fiber_coords(rng, n)
+    d1, d2 = random_diagonal(rng, n), random_diagonal(rng, n)
+    twice = diagonal_similarity_coords(diagonal_similarity_coords(fc, d1), d2)
+    once = diagonal_similarity_coords(fc, d2 * d1)
+    unit = diagonal_similarity_coords(fc, np.ones(n))
+    for b, b_twice, b_once, b_unit in zip(fc.b, twice.b, once.b, unit.b):
+        assert np.array_equal(b_unit, b)
+        assert np.max(np.abs(b_twice - b_once)) < 1e-14 * np.max(np.abs(b_once))
+    x = reconstruct(fc)
+    assert rel_err(reconstruct(diagonal_similarity_coords(fc, d1)), d1[:, None] * x / d1) < 1e-10
+
+
+@PROPERTY
+@given(seed=SEEDS, n=st.integers(min_value=1, max_value=10))
+def test_reconstruct_matches_per_level_loop(seed, n):
+    fc = random_fiber_coords(np.random.default_rng(seed), n)
+    want = reconstruct_by_levels(fc)
+    assert rel_err(reconstruct(fc), want) < 1e-12
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls of module.name through every ritzfiber module binding it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname == "ritzfiber" or modname.startswith("ritzfiber."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("op", [reconstruct, transpose_coords])
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_one_level_pass_per_call(op, n, monkeypatch):
+    fc = random_fiber_coords(np.random.default_rng(n), n)
+    gates = count_calls(monkeypatch, fiber, "require_generic")
+    gaps = count_calls(monkeypatch, numcore, "min_gap")
+    op(fc)
+    assert len(gates) == 1 and gaps == []
 
 
 def brute_force_report(levels):
