@@ -12,7 +12,9 @@ used to certify the commutativity of the trace generators symbolically.  A
 monomial is keyed by the sorted tuple of its (i, j) variables, one entry per
 power; a coefficient is an exact Gaussian rational (re, im) held as Python
 ints, promoted to Fraction only by a non-integral input, so the integer
-certificate never builds a Fraction.
+certificate never builds a Fraction.  Only inside poisson_bracket is a
+monomial packed into one int with a bit field per variable, so that a
+product of monomials is an integer add; its result has sorted-tuple keys.
 """
 
 import itertools
@@ -423,6 +425,56 @@ class SparsePoly:
         return " + ".join(parts)
 
 
+def _packed_partials(terms, bit):
+    """Every nonzero partial derivative of a term dict, from one scan.
+
+    Returns {(i, j): {packed key: coefficient}} with keys packed by ``bit``:
+    a term c * a_ij^p * rest contributes p * c at the key of
+    a_ij^(p-1) * rest, its own packed key minus bit[i, j].  Removing one
+    a_ij maps distinct monomials to distinct keys, so nothing accumulates.
+    """
+    partials = defaultdict(dict)
+    for key, (re, im) in terms.items():
+        base = sum(map(bit.__getitem__, key))
+        prev = None
+        for var in key:
+            if var != prev:  # first of a run of a_ij in the sorted key
+                prev = var
+                p = key.count(var)
+                partials[var][base - bit[var]] = (p * re, p * im)
+    return partials
+
+
+def _add_times(terms, mono, a, b, other):
+    """terms += (a + bi) * mono * other in place, on packed keys, for a
+    nonzero coefficient and a monomial mono; drops every cancelled key."""
+    for key, (c, d) in other.items():
+        key += mono
+        re = a * c - b * d
+        im = a * d + b * c
+        old = terms.get(key)
+        if old is not None:
+            re += old[0]
+            im += old[1]
+            if not (re or im):
+                del terms[key]
+                continue
+        terms[key] = (re, im)
+
+
+def _unpack(key, bit, width):
+    """Sorted-tuple key of a monomial packed by ``bit``, whose fields of
+    ``width`` bits are in slot order."""
+    mask = (1 << width) - 1
+    out = []
+    for var in bit:
+        if not key:
+            break
+        out += [var] * (key & mask)
+        key >>= width
+    return tuple(out)
+
+
 def poisson_bracket(f, g):
     """Exact symbolic Poisson bracket of two entry polynomials.
 
@@ -433,25 +485,38 @@ def poisson_bracket(f, g):
     indexed by row and by column, so only pairs with j = k or i = l are
     visited; each X_ij cancels before it is multiplied, and every product is
     accumulated in place.
+
+    Operands and result use the public sorted-tuple keys.  Inside the
+    bracket only, a monomial is one int holding the power of a_ij in a field
+    of (deg f + deg g).bit_length() bits at slot (i-1) n + (j-1).  No power
+    in the bracket exceeds deg f + deg g - 1 and keys are only added, so a
+    product of monomials is one integer add that never carries across
+    fields, and one scan per operand yields all its partials.  The result is
+    unpacked once at the end.
     """
     if not isinstance(f, SparsePoly) or not isinstance(g, SparsePoly):
         raise ValueError("poisson_bracket expects SparsePoly operands")
     f._check_same_n(g)
-    by_row = defaultdict(list)  # k -> [(l, terms of dg/da_kl)]
-    by_col = defaultdict(list)  # l -> [(k, terms of dg/da_kl)]
-    for k, l in g.variables():
-        dg = g.partial(k, l).terms
+    n = f.n
+    width = (max(map(len, f.terms), default=0)
+             + max(map(len, g.terms), default=0)).bit_length()
+    bit = {var: 1 << width * slot for slot, var in
+           enumerate(itertools.product(range(1, n + 1), repeat=2))}
+    by_row = defaultdict(list)  # k -> [(l, packed dg/da_kl)]
+    by_col = defaultdict(list)  # l -> [(k, packed dg/da_kl)]
+    for (k, l), dg in _packed_partials(g.terms, bit).items():
         by_row[k].append((l, dg))
         by_col[l].append((k, dg))
     out = {}
-    for i, j in f.variables():
+    for (i, j), df in _packed_partials(f.terms, bit).items():
         field = {}
         for l, dg in by_row[j]:
-            _add_into(field, _product_items({((i, l),): (1, 0)}, dg))
+            _add_times(field, bit[i, l], 1, 0, dg)
         for k, dg in by_col[i]:
-            _add_into(field, _product_items({((k, j),): (-1, 0)}, dg))
-        _add_into(out, _product_items(f.partial(i, j).terms, field))
-    return _from_terms(f.n, out)
+            _add_times(field, bit[k, j], -1, 0, dg)
+        for key, (re, im) in df.items():
+            _add_times(out, key, re, im, field)
+    return _from_terms(n, {_unpack(key, bit, width): c for key, c in out.items()})
 
 
 def gz_generator(n, m, k):

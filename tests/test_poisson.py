@@ -183,6 +183,16 @@ class TestCommutativity:
                 pairs += 1
         assert pairs == 105
 
+    def test_all_pairs_n6(self):
+        gens = [gz_generator(6, m, k) for m, k in gz_generator_indices(6)]
+        assert len(gens) == 21
+        pairs = 0
+        for a in range(len(gens)):
+            for b in range(a + 1, len(gens)):
+                assert poisson_bracket(gens[a], gens[b]).is_zero()
+                pairs += 1
+        assert pairs == 210
+
     def test_sample_pairs_n4(self):
         for left, right in [((2, 2), (3, 3)), ((3, 2), (4, 4)), ((1, 1), (4, 3))]:
             f = gz_generator(4, *left)

@@ -1,5 +1,5 @@
-"""Property-based checks of the closed forms, the genericity gate and the
-exact Poisson bracket.
+"""Property-based checks of the closed forms, the level flows, the genericity
+gate and the exact Poisson bracket.
 
 Each numeric property draws a seed and a size and builds its input from the
 same seeded samplers the fixed-sample tests use; the polynomial properties
@@ -26,6 +26,7 @@ from ritzfiber import (
     extract_coords,
     genericity_report,
     hessenberg_representative,
+    level_flow,
     pi_matrix,
     poisson_bracket,
     reconstruct,
@@ -93,6 +94,38 @@ def test_eigen_flow_rescales_exactly_its_slot(seed, n, data):
 
 def rel_err(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def random_flow_times(rng, m):
+    return rng.uniform(-1.0, 1.0, m) + 1j * rng.uniform(-np.pi, np.pi, m)
+
+
+@PROPERTY
+@given(seed=SEEDS, n=st.integers(min_value=2, max_value=6), data=st.data())
+def test_level_flows_commute(seed, n, data):
+    # two different levels whenever the matrix has them; n = 2 has one level
+    levels = list(range(1, n))
+    m1 = data.draw(st.sampled_from(levels), label="m1")
+    m2 = data.draw(st.sampled_from([m for m in levels if m != m1] or levels), label="m2")
+    rng = np.random.default_rng(seed)
+    x = random_generic_matrix(rng, n, normalized=True)
+    q1, q2 = random_flow_times(rng, m1), random_flow_times(rng, m2)
+    one_then_two = level_flow(level_flow(x, m1, q1), m2, q2)
+    two_then_one = level_flow(level_flow(x, m2, q2), m1, q1)
+    assert rel_err(one_then_two, two_then_one) < 1e-10
+
+
+@PROPERTY
+@given(seed=SEEDS, n=st.integers(min_value=2, max_value=6), data=st.data())
+def test_level_flow_is_2pi_i_periodic(seed, n, data):
+    m = data.draw(st.integers(min_value=1, max_value=n - 1), label="m")
+    k = np.array(data.draw(st.lists(st.integers(min_value=-3, max_value=3),
+                                    min_size=m, max_size=m), label="k"))
+    rng = np.random.default_rng(seed)
+    x = random_generic_matrix(rng, n, normalized=True)
+    qs = random_flow_times(rng, m)
+    want = level_flow(x, m, qs)
+    assert rel_err(level_flow(x, m, qs + 2j * np.pi * k), want) < 1e-10
 
 
 def random_diagonal(rng, n):
@@ -281,6 +314,39 @@ def test_arithmetic_is_evaluation_homomorphism(polys, seed):
 @given(polys=poly_triples())
 def test_bracket_matches_definition(polys):
     f, g, _ = polys
+    assert poisson_bracket(f, g) == bracket_by_definition(f, g)
+
+
+def test_bracket_at_the_field_width_boundary():
+    # deg f + deg g = 7, so the bracket packs each power into 3 bits, and
+    # the power 6 of a11 fills all 3 of them
+    a11, a12, a21, a22 = (SparsePoly.variable(2, i, j) for i in (1, 2) for j in (1, 2))
+    a11_4 = a11 * a11 * a11 * a11
+    f = a11 * a11 * a11 * a12
+    g = a11 * a11 * a21
+    want = a11_4 * a11 * a11 - a11_4 * a11 * a22 - 5 * a11_4 * a12 * a21
+    assert poisson_bracket(f, g) == want == bracket_by_definition(f, g)
+
+
+def edge_operands():
+    n = 3
+    a12, a21, a23 = (SparsePoly.variable(n, i, j) for i, j in ((1, 2), (2, 1), (2, 3)))
+    g = a12 * a21 + 2 * a23
+    return [
+        (SparsePoly.zero(n), g),
+        (g, SparsePoly.zero(n)),
+        (SparsePoly.constant(n, 5), g),
+        (g, SparsePoly.constant(n, (Fraction(1, 3), 2))),
+        (Fraction(2, 7) * a12 * a23,
+         SparsePoly.constant(n, (Fraction(1, 3), Fraction(-5, 2))) * a21 + a12),
+    ]
+
+
+@pytest.mark.parametrize(
+    "f, g", edge_operands(),
+    ids=["zero-left", "zero-right", "constant-left", "constant-right", "fraction"],
+)
+def test_bracket_edge_operands(f, g):
     assert poisson_bracket(f, g) == bracket_by_definition(f, g)
 
 
