@@ -59,6 +59,7 @@ from .gzflow import (
     FlowParam,
     SparsePoly,
     centralizer_basis,
+    commutativity_certificate,
     eigen_flow,
     expm,
     gz_flow,

@@ -35,11 +35,10 @@ from .fiber import (
 )
 from .gzflow import (
     FlowParam,
+    commutativity_certificate,
     eigen_flow,
     gz_flow,
-    gz_generator,
     gz_generator_indices,
-    poisson_bracket,
 )
 from .numcore import MonicPoly, as_complex_matrix, canonical_sort
 
@@ -356,28 +355,15 @@ def _cmd_poisson(args):
     n = args.n
     if n < 1:
         raise ValueError("--n must be >= 1")
-    gens = gz_generator_indices(n)
-    polys = {mk: gz_generator(n, *mk) for mk in gens}
-    pairs = []
-    all_zero = True
-    for a in range(len(gens)):
-        for b in range(a + 1, len(gens)):
-            bracket = poisson_bracket(polys[gens[a]], polys[gens[b]])
-            zero = bracket.is_zero()
-            all_zero = all_zero and zero
-            pairs.append(
-                {
-                    "left": list(gens[a]),
-                    "right": list(gens[b]),
-                    "zero": zero,
-                    "terms": len(bracket.terms),
-                }
-            )
+    pairs, all_commute = commutativity_certificate(n)
     doc = {
         "n": n,
-        "generators": [list(mk) for mk in gens],
-        "pairs": pairs,
-        "all_commute": all_zero,
+        "generators": [list(mk) for mk in gz_generator_indices(n)],
+        "pairs": [
+            {"left": list(left), "right": list(right), "zero": terms == 0, "terms": terms}
+            for left, right, terms in pairs
+        ],
+        "all_commute": all_commute,
     }
     _write_doc(args, doc)
     return EXIT_OK

@@ -12,13 +12,23 @@ used to certify the commutativity of the trace generators symbolically.  A
 monomial is keyed by the sorted tuple of its (i, j) variables, one entry per
 power; a coefficient is an exact Gaussian rational (re, im) held as Python
 ints, promoted to Fraction only by a non-integral input, so the integer
-certificate never builds a Fraction.  Only inside poisson_bracket is a
-monomial packed into one int with a bit field per variable, so that a
-product of monomials is an integer add; its result has sorted-tuple keys.
+certificate never builds a Fraction.  Only inside poisson_bracket and
+commutativity_certificate is a monomial packed into one int with a bit field
+per variable, so that a product of monomials is an integer add; the bracket
+it returns has sorted-tuple keys.
+
+gz_generator expands tr((x_m)^k) over closed index walks up to rotation: it
+enumerates only the words that start at their smallest index, and a word
+holding that index c times stands for k / c words.  The weights are summed
+as integer multiples of 1 / lcm(1..k), so every coefficient stays an exact
+integer.  commutativity_certificate brackets every pair of generators of one
+size, building each generator's partials and Hamiltonian fields once.
 """
 
+import functools
 import itertools
-from collections import Counter, defaultdict
+import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -133,7 +143,8 @@ def gz_flow(x, p):
 
 
 def gz_vector_field(x, m, k):
-    """Infinitesimal generator of gz_flow at q = 0: [x, k (x_m^{k-1} (+) 0)]."""
+    """Infinitesimal generator of gz_flow at q = 0: [x, k (x_m^{k-1} (+) 0)];
+    overflow raises NumericalError."""
     x = as_complex_matrix(x)
     n = x.shape[0]
     if not 1 <= m <= n - 1:
@@ -141,8 +152,9 @@ def gz_vector_field(x, m, k):
     if not 1 <= k <= m:
         raise ValueError(f"power k={k} out of range 1..{m}")
     e = np.zeros((n, n), dtype=np.complex128)
-    e[:m, :m] = k * np.linalg.matrix_power(x[:m, :m], k - 1)
-    return x @ e - e @ x
+    with np.errstate(all="ignore"):
+        e[:m, :m] = k * np.linalg.matrix_power(x[:m, :m], k - 1)
+        return _finite(x @ e - e @ x)
 
 
 def decode_slot(j):
@@ -204,7 +216,8 @@ def centralizer_basis(x, m):
     level m, each embedded as g (+) I_{n-m}.
 
     Requires x_m regular (non-derogatory), verified by the nullity of the
-    commutant equations I (x) x_m - x_m^T (x) I being exactly m.
+    commutant equations I (x) x_m - x_m^T (x) I being exactly m; a power
+    that overflows raises NumericalError.
     """
     x = as_complex_matrix(x)
     n = x.shape[0]
@@ -223,12 +236,11 @@ def centralizer_basis(x, m):
         raise NumericalError(
             f"commutant nullity {nullity} < {m}; rank tolerance too tight"
         )
-    out = []
-    power = np.eye(m, dtype=np.complex128)
-    for _ in range(m):
-        out.append(_embed(power, n))
-        power = power @ xm
-    return out
+    powers = [np.eye(m, dtype=np.complex128)]
+    with np.errstate(all="ignore"):
+        for _ in range(m - 1):
+            powers.append(_finite(powers[-1] @ xm))
+    return [_embed(power, n) for power in powers]
 
 
 # ---------------------------------------------------------------------------
@@ -434,14 +446,15 @@ def _packed_partials(terms, bit):
     a_ij maps distinct monomials to distinct keys, so nothing accumulates.
     """
     partials = defaultdict(dict)
-    for key, (re, im) in terms.items():
+    for key, coeff in terms.items():
         base = sum(map(bit.__getitem__, key))
         prev = None
         for var in key:
             if var != prev:  # first of a run of a_ij in the sorted key
                 prev = var
                 p = key.count(var)
-                partials[var][base - bit[var]] = (p * re, p * im)
+                partials[var][base - bit[var]] = (
+                    coeff if p == 1 else (p * coeff[0], p * coeff[1]))
     return partials
 
 
@@ -460,6 +473,85 @@ def _add_times(terms, mono, a, b, other):
                 del terms[key]
                 continue
         terms[key] = (re, im)
+
+
+def _add_shifted(terms, mono, other):
+    """terms += mono * other in place, on packed keys; a coefficient of
+    other is stored as it is on a new key; drops every cancelled key."""
+    for key, coeff in other.items():
+        key += mono
+        old = terms.get(key)
+        if old is None:
+            terms[key] = coeff
+        else:
+            re = old[0] + coeff[0]
+            im = old[1] + coeff[1]
+            if re or im:
+                terms[key] = (re, im)
+            else:
+                del terms[key]
+
+
+def _sub_shifted(terms, mono, other):
+    """terms -= mono * other in place, on packed keys; drops every
+    cancelled key."""
+    for key, (c, d) in other.items():
+        key += mono
+        old = terms.get(key)
+        if old is None:
+            terms[key] = (-c, -d)
+        else:
+            re = old[0] - c
+            im = old[1] - d
+            if re or im:
+                terms[key] = (re, im)
+            else:
+                del terms[key]
+
+
+@functools.cache
+def _bit_table(n, width):
+    """{(i, j): 1 << width * ((i-1) n + (j-1))} for 1 <= i, j <= n, in slot
+    order; shared, so never modified."""
+    return {var: 1 << width * slot for slot, var in
+            enumerate(itertools.product(range(1, n + 1), repeat=2))}
+
+
+def _hamiltonian_fields(partials, bit):
+    """X_ij = sum_l a_il dg/da_jl - sum_k a_kj dg/da_ki of g, from g's
+    packed partials, as a function of (i, j) that builds each field once.
+
+    The partials are indexed by row and by column, so only pairs with j = k
+    or i = l are visited, and a field is built by signed shifted adds alone.
+    """
+    by_row = defaultdict(list)  # k -> [(l, packed dg/da_kl)]
+    by_col = defaultdict(list)  # l -> [(k, packed dg/da_kl)]
+    for (k, l), dg in partials.items():
+        by_row[k].append((l, dg))
+        by_col[l].append((k, dg))
+
+    @functools.cache
+    def field(i, j):
+        out = {}
+        for l, dg in by_row[j]:
+            _add_shifted(out, bit[i, l], dg)
+        for k, dg in by_col[i]:
+            _sub_shifted(out, bit[k, j], dg)
+        return out
+
+    return field
+
+
+def _bracket_terms(f_partials, field):
+    """Packed terms of sum_ij df/da_ij * X_ij; a vanishing X_ij is skipped,
+    and every product is accumulated in place."""
+    out = {}
+    for (i, j), df in f_partials.items():
+        x_ij = field(i, j)
+        if x_ij:
+            for key, (re, im) in df.items():
+                _add_times(out, key, re, im, x_ij)
+    return out
 
 
 def _unpack(key, bit, width):
@@ -483,16 +575,17 @@ def poisson_bracket(f, g):
     sum_ij df/da_ij * X_ij with the Hamiltonian field of g
     X_ij = sum_l a_il dg/da_jl - sum_k a_kj dg/da_ki.  The partials of g are
     indexed by row and by column, so only pairs with j = k or i = l are
-    visited; each X_ij cancels before it is multiplied, and every product is
-    accumulated in place.
+    visited; each X_ij is built by signed shifted adds and cancels before it
+    is multiplied, and every product is accumulated in place.  The partials
+    of f are taken only when some X_ij of a variable of f survives.
 
     Operands and result use the public sorted-tuple keys.  Inside the
     bracket only, a monomial is one int holding the power of a_ij in a field
     of (deg f + deg g).bit_length() bits at slot (i-1) n + (j-1).  No power
     in the bracket exceeds deg f + deg g - 1 and keys are only added, so a
     product of monomials is one integer add that never carries across
-    fields, and one scan per operand yields all its partials.  The result is
-    unpacked once at the end.
+    fields, and one scan per operand yields all its partials.  The bit table
+    is built once per (n, width).  The result is unpacked once at the end.
     """
     if not isinstance(f, SparsePoly) or not isinstance(g, SparsePoly):
         raise ValueError("poisson_bracket expects SparsePoly operands")
@@ -500,40 +593,66 @@ def poisson_bracket(f, g):
     n = f.n
     width = (max(map(len, f.terms), default=0)
              + max(map(len, g.terms), default=0)).bit_length()
-    bit = {var: 1 << width * slot for slot, var in
-           enumerate(itertools.product(range(1, n + 1), repeat=2))}
-    by_row = defaultdict(list)  # k -> [(l, packed dg/da_kl)]
-    by_col = defaultdict(list)  # l -> [(k, packed dg/da_kl)]
-    for (k, l), dg in _packed_partials(g.terms, bit).items():
-        by_row[k].append((l, dg))
-        by_col[l].append((k, dg))
+    bit = _bit_table(n, width)
+    field = _hamiltonian_fields(_packed_partials(g.terms, bit), bit)
     out = {}
-    for (i, j), df in _packed_partials(f.terms, bit).items():
-        field = {}
-        for l, dg in by_row[j]:
-            _add_times(field, bit[i, l], 1, 0, dg)
-        for k, dg in by_col[i]:
-            _add_times(field, bit[k, j], -1, 0, dg)
-        for key, (re, im) in df.items():
-            _add_times(out, key, re, im, field)
+    if any(field(i, j) for i, j in f.variables()):
+        out = _bracket_terms(_packed_partials(f.terms, bit), field)
     return _from_terms(n, {_unpack(key, bit, width): c for key, c in out.items()})
+
+
+def commutativity_certificate(n):
+    """Exact Poisson brackets of every pair of trace generators of size n.
+
+    Returns (pairs, all_commute).  pairs lists (left, right, terms) for each
+    pair of indices (m, k) in gz_generator_indices(n), left before right in
+    that order; terms is the number of terms of the bracket of the two
+    generators tr((x_m)^k), as poisson_bracket would return it.  all_commute
+    says whether every bracket is zero.  Each generator's
+    packed partials are built once, with one bit table wide enough for any
+    pair (degrees are at most n), and each right-hand generator's fields
+    X_ij are built once and reused across every left-hand generator.
+    """
+    gens = gz_generator_indices(n)
+    bit = _bit_table(n, (2 * n).bit_length())
+    partials = [_packed_partials(gz_generator(n, *mk).terms, bit) for mk in gens]
+    fields = [_hamiltonian_fields(p, bit) for p in partials]
+    pairs = [(gens[a], gens[b], len(_bracket_terms(partials[a], fields[b])))
+             for a, b in itertools.combinations(range(len(gens)), 2)]
+    return pairs, all(t == 0 for _, _, t in pairs)
 
 
 def gz_generator(n, m, k):
     """The trace function tr((x_m)^k) expanded in the entry functionals.
 
-    Sums a_{i1 i2} a_{i2 i3} ... a_{ik i1} over all index words with entries
-    at most m.
+    tr((x_m)^k) sums a_{i1 i2} a_{i2 i3} ... a_{ik i1} over all index words
+    with entries at most m.  Rotating a word keeps its monomial, so only the
+    words that start at their smallest index s are enumerated: s, then
+    k - 1 entries in s..m.  A rotation class of period d holds d words, and
+    c d / k of them start at s when the word holds s c times, so each
+    enumerated word stands for k / c words.  The weights lcm(1..k) / c are
+    summed as ints and scaled by k / lcm(1..k) once per monomial, so every
+    coefficient is an exact integer.  A variable (i, j) is coded as the int
+    i (m + 1) + j, so sorting codes sorts in (i, j) order, and the sorted
+    codes of a word are decoded through one table of shared (i, j) tuples.
     """
     if not 1 <= m <= n:
         raise ValueError(f"level m={m} out of range 1..{n}")
     if not 1 <= k <= m:
         raise ValueError(f"power k={k} out of range 1..{m}")
-    counts = Counter(
-        tuple(sorted((word[t], word[(t + 1) % k]) for t in range(k)))
-        for word in itertools.product(range(1, m + 1), repeat=k)
-    )
-    return _from_terms(n, {key: (c, 0) for key, c in counts.items()})
+    lcm = math.lcm(*range(1, k + 1))
+    weight = [0] + [lcm // c for c in range(1, k + 1)]
+    w = m + 1
+    decode = [None] * (w * w)
+    for i, j in itertools.product(range(1, w), repeat=2):
+        decode[i * w + j] = (i, j)
+    sums = defaultdict(int)
+    for s in range(1, m + 1):
+        for tail in itertools.product(range(s, m + 1), repeat=k - 1):
+            word = (s,) + tail
+            codes = sorted([i * w + j for i, j in zip(word, tail + (s,))])
+            sums[tuple([decode[c] for c in codes])] += weight[word.count(s)]
+    return _from_terms(n, {key: (k * c // lcm, 0) for key, c in sums.items()})
 
 
 def gz_generator_indices(n):

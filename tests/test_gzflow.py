@@ -115,6 +115,11 @@ class TestGzVectorField:
             fd = (gz_flow(x, FlowParam(m, k, h)) - gz_flow(x, FlowParam(m, k, -h))) / (2 * h)
             assert np.max(np.abs(fd - field)) < 1e-5
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_raises(self):
+        with pytest.raises(NumericalError):
+            gz_vector_field(np.full((3, 3), 1e200), 2, 2)
+
 
 class TestEigenFlow:
     def test_swap_matrix(self):
@@ -197,7 +202,21 @@ class TestLevelFlow:
         assert np.max(np.abs(composed - at_once)) < 1e-7 * np.linalg.norm(x)
 
 
+COMPANION3 = np.array([[0, 0, 1], [1, 0, 2], [0, 1, 3]], dtype=complex)
+
+
 class TestCentralizerBasis:
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_raises(self):
+        with pytest.raises(NumericalError):
+            centralizer_basis(1e200 * COMPANION3, 3)
+
+    @pytest.mark.filterwarnings("error")
+    def test_unused_power_may_overflow(self):
+        # x_3^2 is finite at this scale; x_3^3, which the basis omits, is not
+        basis = centralizer_basis(1e120 * COMPANION3, 3)
+        assert all(np.all(np.isfinite(g)) for g in basis)
+
     def test_diagonal(self):
         x = np.diag([1.0, 2.0, 9.0]).astype(complex)
         basis = centralizer_basis(x, 2)

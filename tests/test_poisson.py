@@ -1,9 +1,17 @@
+import itertools
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from ritzfiber import SparsePoly, gz_generator, gz_generator_indices, poisson_bracket
+from ritzfiber import (
+    SparsePoly,
+    commutativity_certificate,
+    gz_generator,
+    gz_generator_indices,
+    poisson_bracket,
+)
 
 
 def var(n, i, j):
@@ -161,40 +169,53 @@ class TestGzGenerator:
     def test_enumeration(self):
         assert gz_generator_indices(3) == [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_every_index_word(self, n):
+        # the oracle walks all m^k index words; at k = 4 and 6 a periodic
+        # word's rotation class is smaller than k
+        for m, k in gz_generator_indices(n):
+            assert gz_generator(n, m, k).terms == words_expansion(m, k)
+
+
+def words_expansion(m, k):
+    """Terms of tr((x_m)^k) from every index word, one count per word."""
+    counts = Counter(
+        tuple(sorted((word[t], word[(t + 1) % k]) for t in range(k)))
+        for word in itertools.product(range(1, m + 1), repeat=k)
+    )
+    return {key: (c, 0) for key, c in counts.items()}
+
+
+def assert_certified(n, generators, pairs):
+    got, all_commute = commutativity_certificate(n)
+    gens = gz_generator_indices(n)
+    assert len(gens) == generators and len(got) == pairs
+    assert [(left, right) for left, right, _ in got] == list(itertools.combinations(gens, 2))
+    assert all(terms == 0 for _, _, terms in got) and all_commute
+
 
 class TestCommutativity:
     def test_all_pairs_n3(self):
-        gens = [gz_generator(3, m, k) for m, k in gz_generator_indices(3)]
-        assert len(gens) == 6
-        pairs = 0
-        for a in range(len(gens)):
-            for b in range(a + 1, len(gens)):
-                assert poisson_bracket(gens[a], gens[b]).is_zero()
-                pairs += 1
-        assert pairs == 15
+        assert_certified(3, 6, 15)
 
     def test_all_pairs_n5(self):
-        gens = [gz_generator(5, m, k) for m, k in gz_generator_indices(5)]
-        assert len(gens) == 15
-        pairs = 0
-        for a in range(len(gens)):
-            for b in range(a + 1, len(gens)):
-                assert poisson_bracket(gens[a], gens[b]).is_zero()
-                pairs += 1
-        assert pairs == 105
+        assert_certified(5, 15, 105)
 
     def test_all_pairs_n6(self):
-        gens = [gz_generator(6, m, k) for m, k in gz_generator_indices(6)]
-        assert len(gens) == 21
-        pairs = 0
-        for a in range(len(gens)):
-            for b in range(a + 1, len(gens)):
-                assert poisson_bracket(gens[a], gens[b]).is_zero()
-                pairs += 1
-        assert pairs == 210
+        assert_certified(6, 21, 210)
 
     def test_sample_pairs_n4(self):
         for left, right in [((2, 2), (3, 3)), ((3, 2), (4, 4)), ((1, 1), (4, 3))]:
             f = gz_generator(4, *left)
             g = gz_generator(4, *right)
             assert poisson_bracket(f, g).is_zero()
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_certificate_counts_match_pairwise_brackets(self, n):
+        pairs, _ = commutativity_certificate(n)
+        for left, right, terms in pairs:
+            bracket = poisson_bracket(gz_generator(n, *left), gz_generator(n, *right))
+            assert terms == len(bracket.terms)
+
+    def test_certificate_without_pairs(self):
+        assert commutativity_certificate(1) == ([], True)

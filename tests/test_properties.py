@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from test_arrow import product_route_pi, random_arrow
 
 from ritzfiber import (
+    FiberCoords,
+    FlowParam,
     RitzData,
     SparsePoly,
     diagonal_similarity_coords,
@@ -25,11 +27,13 @@ from ritzfiber import (
     eigenvalues,
     extract_coords,
     genericity_report,
+    gz_flow,
     hessenberg_representative,
     level_flow,
     pi_matrix,
     poisson_bracket,
     reconstruct,
+    ritz_values,
     s_coordinates,
     sigma_matrix,
     transpose_coords,
@@ -130,6 +134,35 @@ def test_level_flow_is_2pi_i_periodic(seed, n, data):
 
 def random_diagonal(rng, n):
     return rng.uniform(0.5, 2.0, n) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
+
+
+@PROPERTY
+@given(seed=SEEDS, n=st.integers(min_value=2, max_value=8))
+def test_level_flows_act_transitively_on_the_fibre(seed, n):
+    # Kostant-Wallach: one flow per level joins any two points of a generic
+    # fibre; level_flow(., m, q) multiplies b_m by exp(-q) entrywise
+    rng = np.random.default_rng(seed)
+    x = random_generic_matrix(rng, n, normalized=True)
+    b = extract_coords(x).coords.b
+    target = [random_diagonal(rng, m) for m in range(1, n)]
+    y = x
+    for m in range(1, n):
+        y = level_flow(y, m, np.log(b[m - 1] / target[m - 1]))
+    assert rel_err(y, reconstruct(FiberCoords(ritz_values(x), target))) < 1e-8
+
+
+@PROPERTY
+@given(seed=SEEDS, n=st.integers(min_value=2, max_value=6), data=st.data())
+def test_trace_flows_lie_in_the_level_torus(seed, n, data):
+    # exp(-q k x_m^(k-1)) is g_m diag(exp(-q k lam^(k-1))) g_m^-1 on level m
+    m = data.draw(st.integers(min_value=1, max_value=n - 1), label="m")
+    k = data.draw(st.integers(min_value=1, max_value=m), label="k")
+    rng = np.random.default_rng(seed)
+    x = random_generic_matrix(rng, n, normalized=True)
+    q = complex(random_flow_times(rng, 1)[0])
+    lam = ritz_values(x).level(m)
+    want = level_flow(x, m, -q * k * lam ** (k - 1))
+    assert rel_err(gz_flow(x, FlowParam(m, k, q)), want) < 1e-10
 
 
 def reconstruct_by_levels(fc):
