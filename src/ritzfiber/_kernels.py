@@ -16,7 +16,7 @@ def _checked(call, x):
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"LAPACK eigensolver failed: {exc}") from None
     for part in out if isinstance(out, tuple) else (out,):
-        if not np.all(np.isfinite(part)):
+        if not np.isfinite(part).all():
             raise NumericalError("eigensolver returned non-finite values (overflow)")
     return out
 
@@ -27,5 +27,7 @@ def eigvals(x):
 
 
 def eig(x):
-    """``(eigenvalues, unit-norm eigenvector columns)`` of the complex matrix x."""
+    """``(eigenvalues, eigenvector columns)`` of the complex matrix x, in
+    LAPACK's order.  ``zgeev`` normalizes every eigenvector column to unit
+    2-norm, so callers compare its entries with absolute thresholds."""
     return _checked(np.linalg.eig, x)

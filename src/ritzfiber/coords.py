@@ -28,7 +28,7 @@ from . import _kernels
 from .arrow import sigma_matrix
 from .errors import GenericityError, NumericalError
 from .fiber import RitzData, _eigvec_chain, require_generic
-from .numcore import COINCIDE_REL, EIG_REL, as_complex_matrix, as_complex_vector, eigenvalues
+from .numcore import COINCIDE_REL, EIG_REL, as_complex_matrix, as_complex_vector
 from .numcore import _canonical_order
 
 
@@ -53,6 +53,14 @@ class FiberCoords:
             if len(v) != m:
                 raise ValueError(f"b_{m} must have {m} entries, got {len(v)}")
 
+    @classmethod
+    def _trusted(cls, ritz, b):
+        """Coordinates the library has just computed: b_m a finite complex128
+        vector of length m, stored as given without re-validation."""
+        fc = object.__new__(cls)
+        fc.ritz, fc.b = ritz, b
+        return fc
+
 
 class CoordsExtraction(NamedTuple):
     """Result of extract_coords: the coordinates plus the derived columns c_m.
@@ -72,19 +80,34 @@ def _eig_sorted(xm):
     return lam[order], vecs[:, order]
 
 
-def _last_row_ones(xm, lam, vecs):
-    """Rescale the eigenvector columns of xm to last entry 1 and check them."""
+def _scale_down(a):
+    """``(a 2^-e, e)``, e from frexp of the largest real or imaginary part of
+    the complex array a (0 when a is zero): every part of a 2^-e lies below 1
+    in modulus, and a power of two makes the product exact barring underflow."""
+    parts = np.ascontiguousarray(a).view(np.float64)
+    e = int(np.frexp(np.max(np.abs(parts), initial=0.0))[1])
+    return np.ldexp(parts, -e).view(np.complex128), e
+
+
+def _last_row_ones(xs, e, lam, vecs):
+    """Rescale the unit eigenvector columns of x_m to last entry 1 and check
+    them.  The residual gate runs on xs = x_m 2^-e and Lam 2^-e, whose parts
+    lie below 1, so that its norms neither overflow nor underflow; an exact
+    power of two leaves its decision unchanged."""
     last = vecs[-1]
-    small = np.abs(last) < COINCIDE_REL * np.linalg.norm(vecs, axis=0)
-    if np.any(small):
+    small = np.abs(last) < COINCIDE_REL
+    if small.any():
         raise GenericityError(
             "eigenvector has (numerically) vanishing last entry: the leading "
             f"submatrix of order {len(lam) - 1} shares the eigenvalue {lam[small][0]}"
         )
     g = vecs / last
     g[-1] = 1.0
-    residual = np.linalg.norm(xm @ g - g * lam)
-    if residual > EIG_REL * np.linalg.norm(xm) * np.linalg.norm(g):
+    lam_s = np.ldexp(lam.view(np.float64), -e).view(np.complex128)
+    residual = np.linalg.norm(xs @ g - g * lam_s)
+    if not residual <= EIG_REL * np.linalg.norm(xs) * np.linalg.norm(g):
+        with np.errstate(over="ignore"):
+            residual = np.ldexp(residual, e)
         raise NumericalError(
             f"eigenpair residual {residual:.3e} exceeds {EIG_REL:.1e} * ||x|| * ||g||"
         )
@@ -95,14 +118,21 @@ def diagonalizer(xm):
     """``(lam, g)``: the spectrum of xm in canonical order and its eigenvector
     matrix with columns in the same order and last row ones.
 
-    Both come from one LAPACK eig call.  A last entry below COINCIDE_REL
-    relative to its column means the leading submatrix of order m-1 shares
-    that eigenvalue (GenericityError).  The residual ||xm g - g diag(lam)|| is
-    guaranteed at most EIG_REL * ||xm|| * ||g||, else NumericalError.
+    Both come from one LAPACK eig call, whose eigenvector columns have unit
+    2-norm.  A last entry below COINCIDE_REL means the leading submatrix of
+    order m-1 shares that eigenvalue (GenericityError).  The residual
+    ||xm g - g diag(lam)|| is guaranteed at most EIG_REL * ||xm|| * ||g||,
+    else NumericalError; the gate is evaluated on xm scaled by a power of two,
+    so it holds its meaning at any representable scale.
     """
     xm = as_complex_matrix(xm)
     lam, vecs = _eig_sorted(xm)
-    return lam, _last_row_ones(xm, lam, vecs)
+    return lam, _last_row_ones(*_scale_down(xm), lam, vecs)
+
+
+def _all_finite(vectors):
+    """Whether every entry of the 1-D arrays is finite."""
+    return not vectors or bool(np.isfinite(np.concatenate(vectors)).all())
 
 
 def _validate_b_nonzero(fc, scale):
@@ -118,21 +148,36 @@ def extract_coords(x):
     Levels are ordered canonically; the stored ordering is what ties the b
     entries to eigenvalue slots.  Non-generic input raises GenericityError,
     naming the first failing disjointness condition, before any rescaling.
+
+    x is validated once, here; the levels come from n-1 LAPACK eig calls and
+    one eigvals call, which reject non-finite output, so the returned
+    RitzData and FiberCoords are built without re-validation.  A b_m or c_m
+    that overflows, or a singular g_m, raises NumericalError.
     """
     x = as_complex_matrix(x)
     n = x.shape[0]
+    if n == 0:
+        raise ValueError("level 1 must have 1 entries, got 0")
     eigs = [_eig_sorted(x[:m, :m]) for m in range(1, n)]
-    r = RitzData([lam for lam, _ in eigs] + [eigenvalues(x)])
+    top = _kernels.eigvals(x)
+    r = RitzData._trusted([lam for lam, _ in eigs] + [top[_canonical_order(top)]])
     require_generic(r)
+    xs, e = _scale_down(x)
     b_list = []
     c_list = []
-    for m, (lam, vecs) in enumerate(eigs, start=1):
-        # (g_m (+) 1)^{-1} x_{m+1} (g_m (+) 1) has last row (x[m, :m] g_m, x[m, m])
-        # and last column (g_m^{-1} x[:m, m], x[m, m])
-        g = _last_row_ones(x[:m, :m], lam, vecs)
-        b_list.append(x[m, :m] @ g)
-        c_list.append(np.linalg.solve(g, x[:m, m]))
-    return CoordsExtraction(FiberCoords(r, b_list), c_list)
+    try:
+        with np.errstate(all="ignore"):
+            for m, (lam, vecs) in enumerate(eigs, start=1):
+                # (g_m (+) 1)^{-1} x_{m+1} (g_m (+) 1) has last row
+                # (x[m, :m] g_m, x[m, m]) and last column (g_m^{-1} x[:m, m], x[m, m])
+                g = _last_row_ones(xs[:m, :m], e, lam, vecs)
+                b_list.append(x[m, :m] @ g)
+                c_list.append(np.linalg.solve(g, x[:m, m]))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigenvector matrix of level {m} is singular: {exc}") from None
+    if not _all_finite(b_list + c_list):
+        raise NumericalError("bordering rows b or columns c overflow")
+    return CoordsExtraction(FiberCoords._trusted(r, b_list), c_list)
 
 
 def complement_c_from_b(r, m, b):
@@ -155,9 +200,21 @@ def reconstruct(fc):
     """
     p = require_generic(fc.ritz)
     _validate_b_nonzero(fc, p.scale)
-    *_, (_, g, _) = _eigvec_chain(p, fc.b)  # the chain ends with g_n
     lam = fc.ritz.level(fc.ritz.n)
-    return np.linalg.solve(g.T, (g * lam[None, :]).T).T
+    with np.errstate(all="ignore"):
+        *_, (_, g, _) = _eigvec_chain(p, fc.b)  # the chain ends with g_n
+        try:
+            x = np.linalg.solve(g.T, (g * lam[None, :]).T).T
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"eigenvector chain is singular ({exc}): a Ritz product under- or overflows"
+            ) from None
+    # a Sigma_m that over- or underflowed to inf or nan makes x non-finite
+    if not np.isfinite(x).all():
+        raise NumericalError(
+            "reconstructed matrix is not finite: a Ritz product under- or overflows"
+        )
+    return x
 
 
 def s_coordinates(x):
@@ -184,10 +241,15 @@ def transpose_coords(fc):
     _validate_b_nonzero(fc, p.scale)
     pi = 1.0
     new_b = []
-    for m, b in enumerate(fc.b, start=1):
-        sigma = p.sigma(m)
-        new_b.append(pi * sigma / b)
-        pi = 1.0 + sigma @ (1.0 / p.between[m - 1]) ** 2
+    with np.errstate(all="ignore"):
+        for m, b in enumerate(fc.b, start=1):
+            sigma = p.sigma(m)
+            new_b.append(pi * sigma / b)
+            pi = 1.0 + sigma @ (1.0 / p.between[m - 1]) ** 2
+    if not _all_finite(new_b):
+        raise NumericalError(
+            "transposed coordinates are not finite: a Ritz product under- or overflows"
+        )
     return FiberCoords(RitzData([lev.copy() for lev in fc.ritz.levels]), new_b)
 
 

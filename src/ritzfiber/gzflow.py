@@ -190,9 +190,12 @@ def eigen_flow(x, j, q):
 def level_flow(x, m, qs):
     """All m per-eigenvalue flows of level m applied at once.
 
-    One conjugation by g_m diag(e^{q_1}, ..., e^{q_m}) g_m^{-1} (+) I; equal
-    to composing the individual eigen_flows of the level in any order;
-    overflow raises NumericalError.
+    Conjugation by S (+) I with S = g_m diag(e^{q_1}, ..., e^{q_m}) g_m^{-1};
+    equal to composing the individual eigen_flows of the level in any order.
+    S commutes with x_m, so x_m and x[m:, m:] are copied through unchanged and
+    only the borders move: x[:m, m:] to S x[:m, m:] and x[m:, :m] to
+    x[m:, :m] S^{-1}, each applied through g_m and a solve with it (g_m^{-1}
+    is never formed).  Overflow raises NumericalError.
     """
     x = as_complex_matrix(x)
     n = x.shape[0]
@@ -203,12 +206,11 @@ def level_flow(x, m, qs):
         raise ValueError(f"need {m} flow times, got {len(qs)}")
     require_generic(ritz_values(x))
     _, g = diagonalizer(x[:m, :m])
-    ginv = np.linalg.solve(g, np.eye(m, dtype=np.complex128))
     with np.errstate(all="ignore"):
         dvec = np.exp(qs)
-        fwd = _embed(g @ (dvec[:, None] * ginv), n)
-        bwd = _embed(g @ ((1.0 / dvec)[:, None] * ginv), n)
-        return _finite(fwd @ x @ bwd)
+        x[:m, m:] = g @ (dvec[:, None] * np.linalg.solve(g, x[:m, m:]))
+        x[m:, :m] = np.linalg.solve(g.T, ((x[m:, :m] @ g) / dvec).T).T
+    return _finite(x)
 
 
 def centralizer_basis(x, m):

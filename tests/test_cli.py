@@ -11,12 +11,13 @@ from helpers import random_generic_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ritzfiber import ritz_values
-from ritzfiber.cli import matrix_doc, parse_coords_doc, parse_matrix_doc, run
+from ritzfiber import extract_coords, ritz_values
+from ritzfiber.cli import coords_doc, matrix_doc, parse_coords_doc, parse_matrix_doc, run
 
 X0_DOC = {"n": 2, "entries": [[0, 1], [1, 0]]}
 BIG2_DOC = {"n": 2, "entries": [[1e308, 1e308], [1e308, 1e308]]}
 BIG3_DOC = {"n": 3, "entries": [[1e300] * 3] * 3}
+A3 = np.array([[1, 2, 0], [3, -1, 1], [0, 2, 4]], dtype=complex)
 
 
 def run_without_warnings(capsys, argv):
@@ -121,6 +122,21 @@ class TestCoordsReconstruct:
         code, _, err = run_json(capsys, ["coords", "--input", path])
         assert code == 3
         assert "(G2_1)" in err
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_out_of_range_ritz_products_map_to_4(self, scale, tmp_path, capsys):
+        # Sigma_2 of these levels overflows at 1e150 and underflows at 1e-150
+        path = write_doc(tmp_path, "c.json", coords_doc(extract_coords(scale * A3).coords))
+        code, out, err = run_without_warnings(capsys, ["reconstruct", "--input", path])
+        assert code == 4 and out is None
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "Warning" not in err
+
+    def test_huge_matrix_has_coords_without_warning(self, tmp_path, capsys):
+        path = write_doc(tmp_path, "x.json", matrix_doc(1e300 * A3))
+        code, doc, err = run_without_warnings(capsys, ["coords", "--input", path])
+        assert code == 0 and err == ""
+        assert len(doc["b"]) == 2
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_pipe_identity(self, n, tmp_path, capsys):

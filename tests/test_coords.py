@@ -1,3 +1,5 @@
+import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -24,10 +26,13 @@ from ritzfiber import (
     s_coordinates,
     transpose_coords,
 )
-from ritzfiber import _kernels
+from ritzfiber import _kernels, numcore
+from ritzfiber.fiber import require_generic
+from ritzfiber.numcore import COINCIDE_REL, EIG_REL, as_complex_matrix
 
 X0 = np.array([[0, 1], [1, 0]], dtype=complex)
 XS = np.array([[0, 0.5], [2, 0]], dtype=complex)
+A3 = np.array([[1, 2, 0], [3, -1, 1], [0, 2, 4]], dtype=complex)
 
 
 class TestDiagonalizer:
@@ -71,15 +76,30 @@ class TestDiagonalizer:
             diagonalizer(x)
 
     def test_non_eigenvalue_fails_residual_bound(self, monkeypatch):
-        eig = _kernels.eig
-
-        def shifted(x):
-            lam, vecs = eig(x)
-            return lam + 0.5, vecs
-
-        monkeypatch.setattr(_kernels, "eig", shifted)
+        monkeypatch.setattr(_kernels, "eig", shifted_eig(0.5))
         with pytest.raises(NumericalError, match="residual"):
             diagonalizer(X0)
+
+    @pytest.mark.parametrize("k", [-1000, 1000])
+    def test_residual_gate_holds_at_extreme_scales(self, k, monkeypatch):
+        # the same shift, scaled with x; on x as given, the gate's norms
+        # would under- or overflow and read 0 <= 0 or inf <= inf
+        monkeypatch.setattr(_kernels, "eig", shifted_eig(np.ldexp(0.5, k)))
+        with pytest.raises(NumericalError, match="residual"):
+            diagonalizer(np.ldexp(X0.real, k))
+        with pytest.raises(NumericalError, match="residual"):
+            extract_coords(np.ldexp(XS.real, k))
+
+
+def shifted_eig(shift):
+    """_kernels.eig with every eigenvalue moved by shift."""
+    eig = _kernels.eig
+
+    def shifted(x):
+        lam, vecs = eig(x)
+        return lam + shift, vecs
+
+    return shifted
 
 
 def counted_eigensolves(monkeypatch):
@@ -134,6 +154,149 @@ class TestExtractCoords:
         calls = counted_eigensolves(monkeypatch)
         extract_coords(x)
         assert calls == Counter(eig=n - 1, eigvals=1)
+
+
+def _last_row_ones_by_norms(xm, lam, vecs):
+    """The per-level check before LAPACK's unit column norms were relied on:
+    the last-entry cut relative to each column's norm, and the residual gate
+    on x_m as given."""
+    last = vecs[-1]
+    small = np.abs(last) < COINCIDE_REL * np.linalg.norm(vecs, axis=0)
+    if np.any(small):
+        raise GenericityError(
+            "eigenvector has (numerically) vanishing last entry: the leading "
+            f"submatrix of order {len(lam) - 1} shares the eigenvalue {lam[small][0]}"
+        )
+    g = vecs / last
+    g[-1] = 1.0
+    residual = np.linalg.norm(xm @ g - g * lam)
+    if residual > EIG_REL * np.linalg.norm(xm) * np.linalg.norm(g):
+        raise NumericalError(
+            f"eigenpair residual {residual:.3e} exceeds {EIG_REL:.1e} * ||x|| * ||g||"
+        )
+    return g
+
+
+def extract_by_levels(x):
+    """extract_coords as a plain per-level loop that re-validates every
+    intermediate through the public constructors: the reference for the
+    validate-once extraction."""
+    x = as_complex_matrix(x)
+    n = x.shape[0]
+    eigs = []
+    for m in range(1, n):
+        lam, vecs = _kernels.eig(x[:m, :m])
+        order = np.lexsort((lam.imag, lam.real))
+        eigs.append((lam[order], vecs[:, order]))
+    r = RitzData([lam for lam, _ in eigs] + [eigenvalues(x)])
+    require_generic(r)
+    b_list = []
+    c_list = []
+    for m, (lam, vecs) in enumerate(eigs, start=1):
+        g = _last_row_ones_by_norms(x[:m, :m], lam, vecs)
+        b_list.append(x[m, :m] @ g)
+        c_list.append(np.linalg.solve(g, x[:m, m]))
+    return FiberCoords(r, b_list), c_list
+
+
+def outcome(f, x):
+    """``("ok", value)`` or ``(exception type, message)`` of f(x)."""
+    try:
+        return "ok", f(x)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def lapack_failure(x):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def vanishing_last_entry(x, eig=np.linalg.eig):
+    # from level 2 on, the first eigenvector ends in an exact 0
+    lam, vecs = eig(x)
+    if len(lam) > 1:
+        vecs[-1, 0] = 0.0
+    return lam, vecs
+
+
+class TestExtractMatchesLevelLoop:
+    @pytest.mark.parametrize("n", range(1, 17))
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_bit_identical(self, n, real):
+        rng = np.random.default_rng(300 + n)
+        x = rng.standard_normal((n, n)) if real else complex_randn(rng, n, n)
+        got = extract_coords(x)
+        want, want_c = extract_by_levels(x)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(got.coords.ritz.levels, want.ritz.levels, strict=True))
+        assert all(np.array_equal(a, b) for a, b in zip(got.coords.b, want.b, strict=True))
+        assert all(np.array_equal(a, b) for a, b in zip(got.c, want_c, strict=True))
+        arrays = got.coords.ritz.levels + got.coords.b + got.c
+        assert not any(np.shares_memory(a, x) for a in arrays)
+
+    @pytest.mark.parametrize("x, owner, solver, patch", [
+        (np.eye(2), None, None, None),
+        (np.diag([1.0, 2.0, 3.0]), None, None, None),  # the gate runs before rescaling
+        (complex_randn(np.random.default_rng(7), 4, 4), np.linalg, "eig", vanishing_last_entry),
+        (X0, _kernels, "eig", shifted_eig(0.5)),
+        (X0, np.linalg, "eig", lapack_failure),
+        (X0, np.linalg, "eigvals", lapack_failure),
+        (np.full((2, 2), 1e308), None, None, None),
+        (np.zeros((0, 0)), None, None, None),
+    ], ids=["identity", "diag123", "last-entry", "residual", "eig-fails",
+            "eigvals-fails", "overflow", "empty"])
+    def test_same_errors(self, x, owner, solver, patch, monkeypatch):
+        if patch is not None:
+            monkeypatch.setattr(owner, solver, patch)
+        got = outcome(extract_coords, x)
+        want = outcome(extract_by_levels, x)
+        assert got[0] != "ok" and got == want
+
+    def test_overflowing_b_is_a_numerical_error(self):
+        # the gate passes, but g_2 has entries near 1e4 and b_2 = x[2, :2] g_2
+        # overflows; the per-level loop raised ValueError from FiberCoords
+        x = 1e305 * np.array([[1, 1, 1], [1e-4, 2, 1], [1, 1, 3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="overflow"):
+                extract_coords(x)
+
+    @pytest.mark.parametrize("k", [-1000, -500, 500, 900, 1000])
+    def test_scale_equivariant(self, k):
+        x = random_generic_matrix(np.random.default_rng(31), 5, normalized=True)
+        want = extract_coords(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = extract_coords(np.ldexp(x.real, k) + 1j * np.ldexp(x.imag, k))
+        pairs = [
+            *zip(got.coords.ritz.levels, want.coords.ritz.levels),
+            *zip(got.coords.b, want.coords.b),
+            *zip(got.c, want.c),
+        ]
+        for a, b in pairs:
+            a = np.ldexp(a.real, -k) + 1j * np.ldexp(a.imag, -k)
+            assert np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(b)
+
+    def test_validates_once(self, monkeypatch):
+        x = random_generic_matrix(np.random.default_rng(32), 6)
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        original = numcore.as_complex_matrix
+        for name, module in list(sys.modules.items()):
+            if name.startswith("ritzfiber") and getattr(module, "as_complex_matrix", None) is original:
+                monkeypatch.setattr(module, "as_complex_matrix",
+                                    counted("as_complex_matrix", original))
+        for cls in (RitzData, FiberCoords):
+            monkeypatch.setattr(cls, "__post_init__",
+                                counted(cls.__name__, cls.__post_init__))
+        extract_coords(x)
+        assert calls == Counter(as_complex_matrix=1)
 
 
 class TestComplementC:
@@ -207,6 +370,15 @@ class TestReconstruct:
             x2 = reconstruct(FiberCoords(fc.ritz, b2))
             assert np.linalg.norm(x2 - x) > 1e-6
 
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_ritz_products_out_of_range_raise(self, scale):
+        # Sigma_2 of these levels overflows at 1e150 and underflows at 1e-150
+        fc = extract_coords(scale * A3).coords
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="Ritz product"):
+                reconstruct(fc)
+
 
 class TestSCoordinates:
     def test_slot_layout(self):
@@ -239,6 +411,13 @@ class TestTransposeCoords:
         assert ritz_gap(via_transform.ritz, direct.ritz) < 1e-9 * fc.ritz.scale()
         for got, want in zip(via_transform.b, direct.b):
             assert np.max(np.abs(got - want)) < 1e-7 * max(1.0, np.max(np.abs(want)))
+
+    def test_overflowing_ritz_products_raise(self):
+        fc = extract_coords(1e150 * A3).coords
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="Ritz product"):
+                transpose_coords(fc)
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_involution(self, n):

@@ -132,12 +132,24 @@ def test_level_flow_is_2pi_i_periodic(seed, n, data):
     assert rel_err(level_flow(x, m, qs + 2j * np.pi * k), want) < 1e-10
 
 
+@PROPERTY
+@given(seed=SEEDS, n=st.integers(min_value=2, max_value=8), data=st.data())
+def test_level_flow_moves_only_the_borders(seed, n, data):
+    # S commutes with x_m, so x_m and the trailing block are left as they are
+    m = data.draw(st.integers(min_value=1, max_value=n - 1), label="m")
+    rng = np.random.default_rng(seed)
+    x = random_generic_matrix(rng, n, normalized=True)
+    y = level_flow(x, m, random_flow_times(rng, m))
+    assert np.array_equal(y[:m, :m], x[:m, :m])
+    assert np.array_equal(y[m:, m:], x[m:, m:])
+
+
 def random_diagonal(rng, n):
     return rng.uniform(0.5, 2.0, n) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
 
 
 @PROPERTY
-@given(seed=SEEDS, n=st.integers(min_value=2, max_value=8))
+@given(seed=SEEDS, n=st.integers(min_value=2, max_value=12))
 def test_level_flows_act_transitively_on_the_fibre(seed, n):
     # Kostant-Wallach: one flow per level joins any two points of a generic
     # fibre; level_flow(., m, q) multiplies b_m by exp(-q) entrywise
