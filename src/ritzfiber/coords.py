@@ -13,10 +13,11 @@ fibre-intrinsic Sigma_m), and the recurrence
                                  Cauchy(Lam_m, Lam_{m+1}); ones]
 
 rebuilds the full eigenvector matrix, hence x = g_n Lam_n g_n^{-1}.  The
-genericity gate ``fiber.require_generic`` returns the per-level difference
-matrices it was taken from; ``reconstruct`` runs the recurrence on them
-(``fiber._eigvec_chain``) and ``transpose_coords`` takes Sigma_m and Pi_m
-from them.
+genericity gate ``fiber.require_generic`` returns the per-pair records of
+adjacent levels (D_m = Lam_m - Lam_{m+1} and Sigma_m) it was taken from;
+``reconstruct`` runs the recurrence on them (``fiber._eigvec_chain``) and
+``transpose_coords`` takes Sigma_m and Pi_m from them.  Both raise
+NumericalError when a Ritz product leaves the normal float range.
 """
 
 from dataclasses import dataclass, field
@@ -126,6 +127,8 @@ def diagonalizer(xm):
     so it holds its meaning at any representable scale.
     """
     xm = as_complex_matrix(xm)
+    if xm.shape[0] == 0:
+        raise ValueError("diagonalizer needs a non-empty matrix")
     lam, vecs = _eig_sorted(xm)
     return lam, _last_row_ones(*_scale_down(xm), lam, vecs)
 
@@ -196,10 +199,11 @@ def reconstruct(fc):
     Runs the eigenvector chain level by level and returns
     x = g_n Lam_n g_n^{-1}.  One genericity gate up front covers every level
     (its global threshold is at least each level's local one), and the Sigma
-    and Cauchy factors reuse the difference matrices the gate built.
+    and Cauchy factors reuse the per-pair records the gate built.
     """
     p = require_generic(fc.ritz)
     _validate_b_nonzero(fc, p.scale)
+    p.require_in_range()
     lam = fc.ritz.level(fc.ritz.n)
     with np.errstate(all="ignore"):
         *_, (_, g, _) = _eigvec_chain(p, fc.b)  # the chain ends with g_n
@@ -234,23 +238,23 @@ def transpose_coords(fc):
     Pi_m = 1 + Sigma_{m-1} (1 / D_{m-1})^2 with D_{m-1} = Lam_{m-1}[:, None]
     - Lam_m[None, :] (all ones for m = 1); both factors depend only on the
     Ritz values, so the transform is an involution on each fibre.  One
-    genericity gate covers all levels, and its difference matrices give every
+    genericity gate covers all levels, and its per-pair records give every
     factor.
     """
     p = require_generic(fc.ritz)
     _validate_b_nonzero(fc, p.scale)
+    p.require_in_range()
     pi = 1.0
     new_b = []
     with np.errstate(all="ignore"):
-        for m, b in enumerate(fc.b, start=1):
-            sigma = p.sigma(m)
-            new_b.append(pi * sigma / b)
-            pi = 1.0 + sigma @ (1.0 / p.between[m - 1]) ** 2
+        for b, pair in zip(fc.b, p.pairs):
+            new_b.append(pi * pair.sigma / b)
+            pi = pair.pi()
     if not _all_finite(new_b):
         raise NumericalError(
             "transposed coordinates are not finite: a Ritz product under- or overflows"
         )
-    return FiberCoords(RitzData([lev.copy() for lev in fc.ritz.levels]), new_b)
+    return FiberCoords(RitzData._trusted([lev.copy() for lev in fc.ritz.levels]), new_b)
 
 
 def diagonal_similarity_coords(fc, d):
@@ -261,4 +265,4 @@ def diagonal_similarity_coords(fc, d):
     if np.any(np.abs(d) == 0.0):
         raise ValueError("d must have nonzero entries")
     new_b = [fc.b[m - 1] * (d[m] / d[m - 1]) for m in range(1, fc.ritz.n)]
-    return FiberCoords(RitzData([lev.copy() for lev in fc.ritz.levels]), new_b)
+    return FiberCoords(RitzData._trusted([lev.copy() for lev in fc.ritz.levels]), new_b)

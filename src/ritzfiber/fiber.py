@@ -7,8 +7,8 @@ of matrices into fibres; each fibre contains exactly one unit upper Hessenberg
 matrix, which this module constructs directly from the Ritz values.
 
 The genericity gaps, Sigma_m = b_m * c_m and the Cauchy factor of the
-eigenvector chain all come from two difference matrices per level, which
-``require_generic`` builds once per call and returns.
+eigenvector chain all come from one record per pair of adjacent levels
+(``arrow._Pair``), which ``require_generic`` builds once per call and returns.
 """
 
 from dataclasses import dataclass, field
@@ -16,6 +16,7 @@ from itertools import islice
 
 import numpy as np
 
+from .arrow import _Pair
 from .errors import GenericityError, NumericalError
 from .numcore import (
     COINCIDE_REL,
@@ -30,6 +31,7 @@ from .numcore import (
 
 # relative width of the near-genericity grey zone (see GenericityReport)
 GREY_ZONE_FACTOR = 1e3
+_FLOAT = np.finfo(np.float64)
 
 
 @dataclass
@@ -117,29 +119,6 @@ def ritz_values(x):
     return RitzData([eigenvalues(x[:m, :m]) for m in range(1, n + 1)])
 
 
-def _level_differences(levels):
-    """Yield ``(E_m, D_m, gap of E_m, gap of D_m)`` for m = 1, ..., n.
-
-    E_m = Lam_m[:, None] - Lam_m[None, :] with its zero diagonal set to 1 after
-    the gap is taken, so that its row products are P_m'(Lam_m); D_m =
-    Lam_m[:, None] - Lam_{m+1}[None, :], None at m = n.  The gaps take the
-    same operands and ``abs`` as ``numcore.min_gap``.
-    """
-    # both are built transposed, so that row products and the Cauchy factor
-    # run over contiguous columns
-    for m, lev in enumerate(levels, start=1):
-        e = (lev[None, :] - lev[:, None]).T
-        gaps = np.abs(e)
-        np.fill_diagonal(gaps, np.inf)
-        within = float(gaps.min())
-        np.fill_diagonal(e, 1.0)
-        if m == len(levels):
-            yield e, None, within, None
-        else:
-            d = (lev[None, :] - levels[m][:, None]).T
-            yield e, d, within, float(np.abs(d).min())
-
-
 def _genericity(scale, within, between):
     """GenericityReport on the within-level and adjacent-level gaps."""
     thr = COINCIDE_REL * scale
@@ -151,20 +130,27 @@ def _genericity(scale, within, between):
 
 
 class _LevelPass:
-    """Every level's difference matrices, built once per call, and the
-    genericity report taken from them: ``within[m-1]`` is E_m and
-    ``between[m-1]`` is D_m of _level_differences, for m < n."""
+    """The _Pair of every two adjacent levels (Lam_m, Lam_{m+1}), built under one
+    np.errstate, and the genericity report of their gaps and level n's."""
 
     def __init__(self, r):
-        within, between, within_gaps, between_gaps = zip(*_level_differences(r.levels))
+        levels = r.levels
+        with np.errstate(all="ignore"):
+            self.pairs = list(map(_Pair, levels[:-1], levels[1:]))
+            top = _Pair(levels[-1]).within
         self.scale = r.scale()
-        self.within = within[:-1]
-        self.between = between[:-1]
-        self.report = _genericity(self.scale, within_gaps, between_gaps[:-1])
+        within = [pr.within for pr in self.pairs] + [top]
+        self.report = _genericity(self.scale, within, [pr.between for pr in self.pairs])
 
-    def sigma(self, m):
-        """Sigma_m = -P_{m+1}(Lam_m) / P_m'(Lam_m), check-free."""
-        return -self.between[m - 1].prod(axis=1) / self.within[m - 1].prod(axis=1)
+    def require_in_range(self):
+        """Raise NumericalError unless every row product of the pairs lies in
+        the normal float range; outside it Sigma_m loses digits or is 0 or inf."""
+        if not self.pairs:
+            return
+        with np.errstate(all="ignore"):
+            mags = np.abs(np.concatenate([v for pr in self.pairs for v in pr.products]))
+        if not _FLOAT.tiny <= mags.min() <= mags.max() <= _FLOAT.max:
+            raise NumericalError("a Ritz product leaves the normal float range")
 
 
 def _eigvec_chain(p, b=None):
@@ -176,15 +162,14 @@ def _eigvec_chain(p, b=None):
     ``p`` is the _LevelPass of generic Ritz values.
     """
     g = np.ones((1, 1), dtype=np.complex128)
-    for m, d in enumerate(p.between, start=1):
-        sigma = p.sigma(m)
-        yield m, g, sigma
-        w = -sigma if b is None else -sigma / b[m - 1]
+    for m, pair in enumerate(p.pairs, start=1):
+        yield m, g, pair.sigma
+        w = -pair.sigma if b is None else -pair.sigma / b[m - 1]
         nxt = np.empty((m + 1, m + 1), dtype=np.complex128)
-        np.matmul(g, w[:, None] / d, out=nxt[:m])
+        np.matmul(g, w[:, None] / pair.diff, out=nxt[:m])
         nxt[m] = 1.0
         g = nxt
-    yield len(p.between) + 1, g, None
+    yield len(p.pairs) + 1, g, None
 
 
 def genericity_report(r):
@@ -192,17 +177,16 @@ def genericity_report(r):
 
     Two eigenvalues count as equal when they are within COINCIDE_REL times the
     global Ritz scale; the scale is global because the cross-level conditions
-    compare values from different levels.  Only the gaps are kept: each
-    level's difference matrices are dropped as soon as its gaps are taken.
+    compare values from different levels.  The gaps are those of the level
+    pass that ``require_generic`` gates on.
     """
-    within, between = zip(*((w, b) for _, _, w, b in _level_differences(r.levels)))
-    return _genericity(r.scale(), within, between[:-1])
+    return _LevelPass(r).report
 
 
 def require_generic(r):
     """Raise GenericityError naming the first failing condition, if any;
-    otherwise return the level pass the gate was taken from, whose difference
-    matrices the fibre arithmetic reuses."""
+    otherwise return the level pass the gate was taken from, whose per-pair
+    records the fibre arithmetic reuses.  It reads gaps only, not products."""
     p = _LevelPass(r)
     if not p.report.generic:
         raise GenericityError(f"{p.report.first_failure()} fails: fibre is not generic")
@@ -230,10 +214,11 @@ def hessenberg_representative(r):
     is y[:m, m] = g_m Sigma_m, with g_m from the eigenvector chain that
     ``reconstruct`` runs.  The representative exists on every fibre, so
     non-generic Ritz values take the characteristic-polynomial recurrence.
-    A non-finite result on either route raises NumericalError.
+    A Ritz product out of the normal float range on the closed-form route,
+    or a non-finite result on either route, raises NumericalError.
     """
+    p = _LevelPass(r)
     with np.errstate(all="ignore"):
-        p = _LevelPass(r)
         y = _hessenberg_closed_form(r, p) if p.report.generic else _hessenberg_recurrence(r)
     if not np.all(np.isfinite(y)):
         raise NumericalError("Hessenberg representative overflows")
@@ -241,6 +226,7 @@ def hessenberg_representative(r):
 
 
 def _hessenberg_closed_form(r, p):
+    p.require_in_range()
     n = r.n
     y = np.zeros((n, n), dtype=np.complex128)
     np.fill_diagonal(y, diagonal_from_ritz(r))

@@ -66,30 +66,11 @@ def eigenvalues(x):
     return canonical_sort(_kernels.eigvals(as_complex_matrix(x)))
 
 
-def min_gap(a, b=None):
-    """Smallest |a_i - b_j|, or |a_i - a_k| over i != k when b is omitted;
-    inf when there is no pair.  The arrow-matrix checks use it; the genericity
-    gate takes the same gaps from the difference matrices it keeps."""
-    if b is None:
-        diff = np.abs(a[:, None] - a[None, :])
-        np.fill_diagonal(diff, np.inf)
-    else:
-        diff = np.abs(a[:, None] - b[None, :])
-    return float(np.min(diff)) if diff.size else np.inf
-
-
 def magnitude_scale(*groups):
     """Max |entry| over the non-empty groups, or 1 when that is 0: the scale
     of every COINCIDE_REL threshold on eigenvalues and coordinate entries."""
-    top = max((float(np.max(np.abs(g))) for g in groups if len(g)), default=0.0)
+    top = max((float(np.abs(g).max()) for g in groups if len(g)), default=0.0)
     return top if top > 0.0 else 1.0
-
-
-def derivative_at_roots(v):
-    """P'(v_i) = prod_{k != i}(v_i - v_k) for the monic P with roots v."""
-    diff = v[:, None] - v[None, :]
-    np.fill_diagonal(diff, 1.0)
-    return np.prod(diff, axis=1)
 
 
 @dataclass

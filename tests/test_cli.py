@@ -18,6 +18,13 @@ X0_DOC = {"n": 2, "entries": [[0, 1], [1, 0]]}
 BIG2_DOC = {"n": 2, "entries": [[1e308, 1e308], [1e308, 1e308]]}
 BIG3_DOC = {"n": 3, "entries": [[1e300] * 3] * 3}
 A3 = np.array([[1, 2, 0], [3, -1, 1], [0, 2, 4]], dtype=complex)
+# Ritz values of 2^-230 x for a Gaussian x of spectral radius about 1, n = 5:
+# generic, but the Ritz products of level 4 underflow
+TINY5 = random_generic_matrix(np.random.default_rng(3), 5, normalized=True)
+TINY5_RITZ = [
+    [[v.real, v.imag] for v in 2.0**-230 * lev]
+    for lev in ritz_values(TINY5).levels
+]
 
 
 def run_without_warnings(capsys, argv):
@@ -101,6 +108,9 @@ class TestHess:
         [[1e200], [0, 3e200]],
         # a difference of two Ritz values overflows
         [[1e308], [0, -1e308]],
+        # generic, but its Ritz products underflow: column 4 came out as
+        # zeros where the exact entries are near 1e-209
+        TINY5_RITZ,
     ])
     def test_overflowing_representative_maps_to_4(self, ritz, tmp_path, capsys):
         path = write_doc(tmp_path, "r.json", {"ritz": ritz})

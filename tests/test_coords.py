@@ -21,6 +21,7 @@ from ritzfiber import (
     diagonalizer,
     eigenvalues,
     extract_coords,
+    hessenberg_representative,
     reconstruct,
     ritz_values,
     s_coordinates,
@@ -68,6 +69,10 @@ class TestDiagonalizer:
         x = rng.standard_normal((n, n)) if real else complex_randn(rng, n, n)
         lam, _ = diagonalizer(x)
         assert np.array_equal(lam, eigenvalues(x))
+
+    def test_empty_matrix_is_a_value_error(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            diagonalizer(np.zeros((0, 0)))
 
     def test_vanishing_last_entry_is_genericity_violation(self):
         # E(x_1) = {1} is shared with E(x_2), so the eigenvector for 1 ends in 0
@@ -419,6 +424,15 @@ class TestTransposeCoords:
             with pytest.raises(NumericalError, match="Ritz product"):
                 transpose_coords(fc)
 
+    def test_underflowing_ritz_products_raise(self):
+        # Sigma_2 underflows to 0, and b~_2 came out as [0, 0] where the
+        # answer is 1e-150 * [1, 1]
+        fc = extract_coords(1e-150 * A3).coords
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="Ritz product"):
+                transpose_coords(fc)
+
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_involution(self, n):
         rng = np.random.default_rng(80 + n)
@@ -468,3 +482,62 @@ class TestDiagonalSimilarityCoords:
         fc = random_fiber_coords(np.random.default_rng(1), 3)
         with pytest.raises(ValueError):
             diagonal_similarity_coords(fc, [1.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("op", [transpose_coords, diagonal_similarity_coords])
+def test_new_coords_own_their_levels(op):
+    fc = random_fiber_coords(np.random.default_rng(2), 3)
+    new = op(fc) if op is transpose_coords else op(fc, np.ones(3))
+    for got, want in zip(new.ritz.levels, fc.ritz.levels):
+        assert np.array_equal(got, want) and not np.shares_memory(got, want)
+
+
+def scaled(a, k):
+    """a * 2^k entrywise (k may be an array), exact barring under- and overflow."""
+    return np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k)
+
+
+@pytest.mark.parametrize("op", ["transpose", "hessenberg"])
+def test_power_of_two_scale_sweep(op):
+    # x -> 2^k x scales the Ritz values, b and the transposed b by 2^k, and
+    # entry (i, j) of the Hessenberg representative by 2^(k (1 + j - i)).  At
+    # every k the answer is that, or NumericalError.  Outside about |k| <= 204
+    # the Ritz products of level 4 leave the float range; at k = -230 both
+    # maps returned zeros in place of representable entries
+    x = random_generic_matrix(np.random.default_rng(3), 5, normalized=True)
+    fc = extract_coords(x).coords
+    if op == "transpose":
+        def run(f):
+            return transpose_coords(f).b
+        degrees = [1] * 4
+    else:
+        def run(f):
+            return [hessenberg_representative(f.ritz)]
+        i, j = np.indices((5, 5))
+        degrees = [1 + j - i]
+    want = run(fc)
+    answered = []
+    for k in range(-300, 301):
+        levels = [scaled(lev, k) for lev in fc.ritz.levels]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = run(FiberCoords(RitzData(levels), [scaled(b, k) for b in fc.b]))
+            except NumericalError:
+                continue
+        answered.append(k)
+        for g, w, degree in zip(got, want, degrees):
+            err = np.max(np.abs(scaled(g, -k * degree) - w))
+            assert err <= 1e-12 * np.max(np.abs(w)), f"k = {k}: error {err:.2e}"
+    # the range check refuses only where the products leave the float range
+    assert answered == list(range(answered[0], answered[-1] + 1))
+    assert answered[0] <= -200 and answered[-1] >= 200
+
+
+@pytest.mark.parametrize("op", [reconstruct, transpose_coords])
+def test_gate_runs_before_range_check(op):
+    # (G2_1) fails, and every Ritz product of levels 1 and 2 underflows
+    levels = [[0.0], [0.0, 1e-160], [-1e-160, 2e-160, 3e-160]]
+    fc = FiberCoords(RitzData(levels), [[1e-160], [1e-160, 1e-160]])
+    with pytest.raises(GenericityError, match="G2_1"):
+        op(fc)

@@ -10,7 +10,8 @@ from ritzfiber import (
     numeric_rank,
     poly_quotient_in_basis,
 )
-from ritzfiber.numcore import COINCIDE_REL, EIG_REL, RANK_REL, derivative_at_roots
+from ritzfiber.arrow import _Pair
+from ritzfiber.numcore import COINCIDE_REL, EIG_REL, RANK_REL
 
 X0 = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -99,12 +100,15 @@ class TestPolynomials:
         assert np.polyval(MonicPoly([-1.0, 0.0]).full()[::-1], 0.0) == -1.0
 
     def test_derivative(self):
-        # P = l^2 - 1 has P'(l) = 2 l at its roots -1, 1
-        np.testing.assert_allclose(derivative_at_roots(np.array([-1.0, 1.0])), [-2, 2])
+        # P = l^2 - 1 has P'(l) = 2 l at its roots -1, 1; the pair record
+        # keeps P'(d) as its second row of products
+        pair = _Pair(np.array([-1.0, 1.0 + 0j]), np.zeros(1, dtype=complex))
+        np.testing.assert_allclose(pair.products[1], [-2, 2])
 
     def test_derivative_constant(self):
         # P = l - 3 has P' = 1
-        np.testing.assert_allclose(derivative_at_roots(np.array([3.0 + 0j])), [1])
+        pair = _Pair(np.array([3.0 + 0j]), np.zeros(1, dtype=complex))
+        np.testing.assert_allclose(pair.products[1], [1])
 
     def test_quotient_in_basis(self):
         basis = [MonicPoly([]), MonicPoly([0.0])]  # 1, l

@@ -38,7 +38,7 @@ from ritzfiber import (
     sigma_matrix,
     transpose_coords,
 )
-from ritzfiber import fiber, numcore
+from ritzfiber import arrow, fiber
 from ritzfiber.fiber import GREY_ZONE_FACTOR
 from ritzfiber.numcore import COINCIDE_REL
 
@@ -244,9 +244,10 @@ def count_calls(monkeypatch, module, name):
 def test_one_level_pass_per_call(op, n, monkeypatch):
     fc = random_fiber_coords(np.random.default_rng(n), n)
     gates = count_calls(monkeypatch, fiber, "require_generic")
-    gaps = count_calls(monkeypatch, numcore, "min_gap")
+    pairs = count_calls(monkeypatch, arrow, "_Pair")
     op(fc)
-    assert len(gates) == 1 and gaps == []
+    # one record per pair of adjacent levels, plus the within-gap of level n
+    assert len(gates) == 1 and len(pairs) == n
 
 
 def brute_force_report(levels):
