@@ -18,6 +18,7 @@ from .numcore import COINCIDE_REL, as_complex_vector, magnitude_scale
 
 # relative bound on the factorization reconstruction residual
 FACTOR_RESIDUAL_REL = 1e-8
+_FLOAT = np.finfo(np.float64)
 _COLLIDE = "Cauchy matrix parameters collide: some |d_i - lam_j| is below {:.3e}"
 
 
@@ -110,6 +111,18 @@ def _quiet_pair(d, lam=None):
         return _Pair(d, lam)
 
 
+def _checked(result, products=()):
+    """result, if it is finite and every Ritz product in the arrays products lies
+    in the normal float range (outside it Sigma loses digits); else NumericalError."""
+    with np.errstate(all="ignore"):
+        mags = np.abs(np.concatenate([np.zeros(0), *products]))
+    if mags.size and not _FLOAT.tiny <= mags.min() <= mags.max() <= _FLOAT.max:
+        raise NumericalError("a Ritz product leaves the normal float range")
+    if not np.isfinite(result).all():
+        raise NumericalError("result is not finite: a Ritz product under- or overflows")
+    return result
+
+
 def cauchy_matrix(d, lam):
     """Matrix with entries 1 / (d_i - lam_j).
 
@@ -129,6 +142,7 @@ def sigma_matrix(r, m):
 
     Sigma_m depends only on the Ritz values; on any matrix of the fibre it
     equals the entrywise product of the bordering coordinates b_m and c_m.
+    A Ritz product out of the normal float range raises NumericalError.
     """
     if not 1 <= m <= r.n - 1:
         raise ValueError(f"level m={m} out of range 1..{r.n - 1}")
@@ -138,7 +152,7 @@ def sigma_matrix(r, m):
     _require_apart(
         pair.between, thr, f"(G2_{m}) fails: levels {m} and {m + 1} share an eigenvalue"
     )
-    return pair.sigma
+    return _checked(pair.sigma, pair.products)
 
 
 def pi_matrix(d, lam):
@@ -148,7 +162,8 @@ def pi_matrix(d, lam):
         Pi_j = 1 - sum_i prod_k(d_i - lam_k) /
                         ((lam_j - d_i)^2 * prod_{k != i}(d_i - d_k)).
     An empty d (no previous level) returns all ones by the empty-sum
-    convention.
+    convention.  A Ritz product out of the normal float range raises
+    NumericalError.
     """
     d = as_complex_vector(d)
     lam = as_complex_vector(lam)
@@ -156,7 +171,8 @@ def pi_matrix(d, lam):
     pair = _quiet_pair(d, lam)
     _require_apart(pair.within, thr, "pi_matrix requires pairwise distinct d")
     _require_apart(pair.between, thr, "pi_matrix requires d and lam disjoint")
-    return pair.pi()
+    with np.errstate(all="ignore"):
+        return _checked(pair.pi(), pair.products)
 
 
 def arrow_factorize(a, lam):
@@ -164,7 +180,8 @@ def arrow_factorize(a, lam):
 
     Builds Z^{-1} = [-diag(p) Cauchy(d, lam); ones] and the pairing diagonal
     Pi, then verifies the reconstruction residual ||A - Z^{-1} diag(lam) Z||
-    against FACTOR_RESIDUAL_REL * ||A||.
+    against FACTOR_RESIDUAL_REL * ||A||.  A Ritz product out of the normal
+    float range, or a non-finite result, raises NumericalError.
     """
     if not isinstance(a, ArrowMatrix):
         raise ValueError("arrow_factorize expects an ArrowMatrix")
@@ -180,13 +197,15 @@ def arrow_factorize(a, lam):
     pair = _quiet_pair(a.d, lam)
     _require_apart(pair.between, thr, _COLLIDE.format(thr))
     _require_apart(pair.within, thr, "arrow diagonal d has a repeated entry")
-    z_inv = np.vstack([-a.p[:, None] * (1.0 / pair.diff), np.ones((1, m + 1))])
-    fact = ArrowFactorization(lam.copy(), z_inv, pair.pi())
-    dense = a.to_dense()
-    recon = (z_inv * lam[None, :]) @ fact.z()
-    residual = np.linalg.norm(recon - dense)
-    bound = FACTOR_RESIDUAL_REL * max(np.linalg.norm(dense), 1e-300)
-    if residual > bound:
+    with np.errstate(all="ignore"):
+        z_inv = np.vstack([-a.p[:, None] * (1.0 / pair.diff), np.ones((1, m + 1))])
+        fact = ArrowFactorization(lam.copy(), z_inv, pair.pi())
+        _checked(np.append(z_inv, fact.pi), pair.products)
+        dense = a.to_dense()
+        recon = (z_inv * lam[None, :]) @ fact.z()
+        residual = np.linalg.norm(recon - dense)
+        bound = FACTOR_RESIDUAL_REL * max(np.linalg.norm(dense), 1e-300)
+    if not residual <= bound:
         raise NumericalError(
             f"arrow factorization residual {residual:.3e} exceeds {bound:.3e}; "
             "is lam really the spectrum?"

@@ -16,6 +16,7 @@ from .errors import CompletionError, NumericalError
 from .numcore import (
     COINCIDE_REL,
     MonicPoly,
+    _commutant_dim,
     as_complex_matrix,
     as_complex_vector,
     charpoly_from_eigs,
@@ -138,12 +139,11 @@ def controllable(b_matrix, c):
 
 
 def is_regular(b_matrix):
-    """Whether B is non-derogatory: its commutant has dimension exactly m."""
+    """Whether B is non-derogatory: its commutant {Y : BY = YB} is the span of
+    I, B, ..., B^{m-1}.  Sylvester singular values count as zero at or below
+    RANK_REL * ||B||_2, on B scaled by a power of two; centralizer_basis agrees."""
     b_matrix = as_complex_matrix(b_matrix)
-    m = b_matrix.shape[0]
-    ident = np.eye(m, dtype=np.complex128)
-    syl = np.kron(ident, b_matrix) - np.kron(b_matrix.T, ident)
-    return m * m - numeric_rank(syl) == m
+    return _commutant_dim(b_matrix) == b_matrix.shape[0]
 
 
 def markov_hankel(sys, n_rows):

@@ -26,11 +26,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .arrow import sigma_matrix
+from .arrow import _checked, sigma_matrix
 from .errors import GenericityError, NumericalError
 from .fiber import RitzData, _eigvec_chain, require_generic
 from .numcore import COINCIDE_REL, EIG_REL, as_complex_matrix, as_complex_vector
-from .numcore import _canonical_order
+from .numcore import _canonical_order, _scale_down
 
 
 @dataclass
@@ -79,15 +79,6 @@ def _eig_sorted(xm):
     lam, vecs = _kernels.eig(xm)
     order = _canonical_order(lam)
     return lam[order], vecs[:, order]
-
-
-def _scale_down(a):
-    """``(a 2^-e, e)``, e from frexp of the largest real or imaginary part of
-    the complex array a (0 when a is zero): every part of a 2^-e lies below 1
-    in modulus, and a power of two makes the product exact barring underflow."""
-    parts = np.ascontiguousarray(a).view(np.float64)
-    e = int(np.frexp(np.max(np.abs(parts), initial=0.0))[1])
-    return np.ldexp(parts, -e).view(np.complex128), e
 
 
 def _last_row_ones(xs, e, lam, vecs):
@@ -184,13 +175,15 @@ def extract_coords(x):
 
 
 def complement_c_from_b(r, m, b):
-    """The bordering column forced by the bordering row: c_i = Sigma_m[i] / b_i."""
+    """The bordering column forced by the bordering row: c_i = Sigma_m[i] / b_i;
+    NumericalError as in sigma_matrix, or when c is not finite."""
     b = as_complex_vector(b)
     if len(b) != m:
         raise ValueError(f"b must have {m} entries, got {len(b)}")
     if np.any(np.abs(b) <= COINCIDE_REL * r.scale()):
         raise ValueError("b has a (numerically) zero entry")
-    return sigma_matrix(r, m) / b
+    with np.errstate(all="ignore"):
+        return _checked(sigma_matrix(r, m) / b)
 
 
 def reconstruct(fc):

@@ -16,7 +16,7 @@ from itertools import islice
 
 import numpy as np
 
-from .arrow import _Pair
+from .arrow import _Pair, _checked
 from .errors import GenericityError, NumericalError
 from .numcore import (
     COINCIDE_REL,
@@ -31,7 +31,6 @@ from .numcore import (
 
 # relative width of the near-genericity grey zone (see GenericityReport)
 GREY_ZONE_FACTOR = 1e3
-_FLOAT = np.finfo(np.float64)
 
 
 @dataclass
@@ -143,14 +142,8 @@ class _LevelPass:
         self.report = _genericity(self.scale, within, [pr.between for pr in self.pairs])
 
     def require_in_range(self):
-        """Raise NumericalError unless every row product of the pairs lies in
-        the normal float range; outside it Sigma_m loses digits or is 0 or inf."""
-        if not self.pairs:
-            return
-        with np.errstate(all="ignore"):
-            mags = np.abs(np.concatenate([v for pr in self.pairs for v in pr.products]))
-        if not _FLOAT.tiny <= mags.min() <= mags.max() <= _FLOAT.max:
-            raise NumericalError("a Ritz product leaves the normal float range")
+        """arrow._checked on the row products of all pairs, in one call."""
+        _checked((), [v for pr in self.pairs for v in pr.products])
 
 
 def _eigvec_chain(p, b=None):

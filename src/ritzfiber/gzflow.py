@@ -37,7 +37,7 @@ import numpy as np
 from .coords import diagonalizer
 from .errors import NotRegularError, NumericalError
 from .fiber import require_generic, ritz_values
-from .numcore import as_complex_matrix, numeric_rank
+from .numcore import _commutant_dim, as_complex_matrix
 
 # ---------------------------------------------------------------------------
 # matrix exponential: scaling and squaring with a degree-13 Pade core
@@ -217,26 +217,19 @@ def centralizer_basis(x, m):
     """Basis (I, x_m, ..., x_m^{m-1}) of the commutative similarity group of
     level m, each embedded as g (+) I_{n-m}.
 
-    Requires x_m regular (non-derogatory), verified by the nullity of the
-    commutant equations I (x) x_m - x_m^T (x) I being exactly m; a power
-    that overflows raises NumericalError.
+    Requires x_m regular (non-derogatory), else NotRegularError: the test is
+    control.is_regular's, so the two never disagree.  A power that overflows
+    raises NumericalError.
     """
     x = as_complex_matrix(x)
     n = x.shape[0]
     if not 1 <= m <= n:
         raise ValueError(f"level m={m} out of range 1..{n}")
     xm = x[:m, :m]
-    ident = np.eye(m, dtype=np.complex128)
-    syl = np.kron(ident, xm) - np.kron(xm.T, ident)
-    nullity = m * m - numeric_rank(syl)
-    if nullity > m:
+    if (dim := _commutant_dim(xm)) != m:
         raise NotRegularError(
             f"leading submatrix of order {m} is not regular: its commutant has "
-            f"dimension {nullity} > {m}"
-        )
-    if nullity < m:
-        raise NumericalError(
-            f"commutant nullity {nullity} < {m}; rank tolerance too tight"
+            f"dimension {dim} > {m}"
         )
     powers = [np.eye(m, dtype=np.complex128)]
     with np.errstate(all="ignore"):

@@ -66,6 +66,24 @@ def eigenvalues(x):
     return canonical_sort(_kernels.eigvals(as_complex_matrix(x)))
 
 
+def _scale_down(a):
+    """``(a 2^-e, e)``, e from frexp of the largest real or imaginary part of
+    the complex array a (0 when a is zero): every part of a 2^-e lies below 1
+    in modulus, and a power of two makes the product exact barring underflow."""
+    parts = np.ascontiguousarray(a).view(np.float64)
+    e = int(np.frexp(np.max(np.abs(parts), initial=0.0))[1])
+    return np.ldexp(parts, -e).view(np.complex128), e
+
+
+def _commutant_dim(b):
+    """dim {Y : bY = Yb}: the nullity of I (x) b - b^T (x) I on b scaled by a
+    power of two, singular values <= RANK_REL * ||b||_2 counting as zero."""
+    b = _scale_down(b)[0]
+    ident = np.eye(len(b), dtype=np.complex128)
+    s = np.linalg.svd(np.kron(ident, b) - np.kron(b.T, ident), compute_uv=False)
+    return b.size - int(np.sum(s > RANK_REL * np.linalg.norm(b, 2)))
+
+
 def magnitude_scale(*groups):
     """Max |entry| over the non-empty groups, or 1 when that is 0: the scale
     of every COINCIDE_REL threshold on eigenvalues and coordinate entries."""
@@ -144,8 +162,12 @@ def poly_quotient_in_basis(target, basis):
 
 
 def numeric_rank(a):
-    """Rank of a matrix, singular values below RANK_REL * s_max count as zero."""
+    """Rank of a finite matrix: singular values at or below RANK_REL * s_max
+    count as zero, s_max that of a as given (no rescaling), so ill-scaled rows
+    can read rank-deficient.  A NaN or inf entry raises ValueError."""
     a = np.asarray(a, dtype=np.complex128)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite (no NaN/Inf)")
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)

@@ -158,3 +158,30 @@ class TestFibreIdentities:
                 )
                 rhs = pm * (lam - delta) - corr
                 assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(lhs))
+
+
+@pytest.mark.filterwarnings("error")
+class TestRitzProductRange:
+    """A Ritz product outside the normal float range raises NumericalError,
+    without a numpy RuntimeWarning, instead of giving inf or NaN."""
+
+    @pytest.mark.parametrize("s", [1e200, 1e-200])
+    def test_sigma_matrix(self, s):
+        with pytest.raises(NumericalError, match="normal float range"):
+            sigma_matrix(RitzData([[s], [0.0, 3.0 * s]]), 1)
+
+    @pytest.mark.parametrize("s", [1e200, 1e-200])
+    def test_pi_matrix(self, s):
+        with pytest.raises(NumericalError, match="normal float range"):
+            pi_matrix([s], [0.0, 3.0 * s])
+
+    def test_unscaled_pi_matrix(self):
+        np.testing.assert_allclose(pi_matrix([1.0], [0.0, 3.0]), [3.0, 1.5])
+
+    @pytest.mark.parametrize("s", [1e200, 1e-200])
+    def test_arrow_factorize(self, s):
+        with pytest.raises(NumericalError):
+            arrow_factorize(ArrowMatrix([s], [s], [s], 0.0), [0.0, 3.0 * s])
+
+    def test_empty_d_has_no_products(self):
+        np.testing.assert_array_equal(pi_matrix([], [2.0]), [1.0])

@@ -470,3 +470,17 @@ def test_fuzz_exit_codes(call):
     code, _, err = run_captured(*call)
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "doc, regular",
+    [
+        ({"n": 3, "entries": [[1, 0, 0], [0, 1.000000000000001, 0], [1, 1, 0]]}, False),
+        ({"n": 3, "entries": [[1e308, 1e308, 0], [1e308, 1e308, 0], [1, 1, 0]]}, True),
+    ],
+    ids=["nearly-equal-eigenvalues", "huge-distinct-eigenvalues"],
+)
+def test_control_regular_is_scale_free(doc, regular, tmp_path, capsys):
+    path = write_doc(tmp_path, "s.json", doc)
+    code, out, err = run_without_warnings(capsys, ["control", "--input", path, "--regular"])
+    assert code == 0 and out == {"regular": regular} and err == ""

@@ -8,8 +8,10 @@ from ritzfiber import (
     CompletionError,
     JordanSpec,
     MonicPoly,
+    NotRegularError,
     NumericalError,
     SISOSystem,
+    centralizer_basis,
     charpoly_from_eigs,
     controllable,
     is_regular,
@@ -21,6 +23,7 @@ from ritzfiber import (
 )
 from ritzfiber import control
 from ritzfiber.control import charpoly, markov_parameters_from_target
+from ritzfiber.numcore import RANK_REL
 
 
 def random_regular_system(rng, m):
@@ -265,3 +268,119 @@ class TestJordanObservableRow:
             for pattern in itertools.product((0.0, 1.0), repeat=m):
                 row = np.array(pattern)
                 assert jordan_observable_row(spec, row) == observable(b_matrix, row)
+
+
+def spread_relative_is_regular(b_matrix):
+    """Reference oracle: the earlier regularity rule, which counted the
+    Sylvester singular values against the Sylvester matrix's own largest one
+    (a measure of the spread of the spectrum, not of the size of B)."""
+    m = len(b_matrix)
+    ident = np.eye(m)
+    s = np.linalg.svd(np.kron(ident, b_matrix) - np.kron(b_matrix.T, ident), compute_uv=False)
+    rank = int(np.sum(s > RANK_REL * s[0])) if s[0] > 0.0 else 0
+    return m * m - rank == m
+
+
+def restricted_growth_strings(k):
+    """Every partition of k blocks into groups, as labels 0, 1, ... in order
+    of first appearance."""
+    if k == 0:
+        yield ()
+        return
+    for head in restricted_growth_strings(k - 1):
+        for label in range(max(head, default=-1) + 2):
+            yield head + (label,)
+
+
+def compositions(m):
+    """Every ordered list of positive block sizes summing to m."""
+    if m == 0:
+        yield ()
+        return
+    for first in range(1, m + 1):
+        for rest in compositions(m - first):
+            yield (first,) + rest
+
+
+# eigenvalue of each group; the first is nonzero, so a scalar matrix is not 0
+EIGENVALUE_SETS = ([1.0, -2.0 + 1.0j, 3.0j, 0.0], [1.5 - 0.5j, 0.0, -1.0, 2.0j])
+
+
+def jordan_structures(max_m):
+    """``(B, regular)`` for every Jordan structure of order m <= max_m: every
+    ordered list of block sizes, every grouping of the blocks by shared
+    eigenvalue, and each eigenvalue set.  B is regular exactly when no two
+    blocks share an eigenvalue."""
+    for m in range(1, max_m + 1):
+        for sizes in compositions(m):
+            for labels in restricted_growth_strings(len(sizes)):
+                for values in EIGENVALUE_SETS:
+                    b_matrix = np.zeros((m, m), dtype=complex)
+                    pos = 0
+                    for g, s in zip(labels, sizes):
+                        b_matrix[pos:pos + s, pos:pos + s] = values[g] * np.eye(s) + np.eye(s, k=-1)
+                        pos += s
+                    yield b_matrix, len(set(labels)) == len(labels)
+
+
+class TestCommutantTest:
+    """is_regular and centralizer_basis share one commutant test, which counts
+    Sylvester singular values against RANK_REL * ||B||_2 on B scaled by a
+    power of two."""
+
+    def test_nearly_equal_eigenvalues_are_equal(self):
+        assert not is_regular(np.diag([1.0, 1.0 + 1e-15]))
+        assert not is_regular(np.array([[2.0, 1e-15], [0.0, 2.0]]))
+
+    def test_huge_distinct_eigenvalues(self):
+        # eigenvalues 0 and 2e308: distinct, although their sum overflows
+        assert is_regular(1e308 * np.ones((2, 2)))
+
+    def test_centralizer_of_nearly_equal_eigenvalues(self):
+        with pytest.raises(NotRegularError):
+            centralizer_basis(np.diag([1.0, 1.0 + 1e-15, 5.0]), 2)
+
+    def test_empty_matrix_is_regular(self):
+        assert is_regular(np.zeros((0, 0)))
+
+    def test_jordan_structure_truth_table(self):
+        rng = np.random.default_rng(29)
+        count = 0
+        for b_matrix, regular in jordan_structures(4):
+            m = len(b_matrix)
+            q, _ = np.linalg.qr(complex_randn(rng, m, m))
+            for y in (b_matrix, q @ b_matrix @ q.conj().T):
+                assert is_regular(y) == regular, (y, regular)
+                if regular:
+                    assert len(centralizer_basis(y, m)) == m
+                else:
+                    with pytest.raises(NotRegularError):
+                        centralizer_basis(y, m)
+                count += 1
+        assert count == 204
+
+    def test_agrees_with_spread_rule_on_small_integer_matrices(self):
+        cases = [
+            np.array(entries, dtype=float).reshape(m, m)
+            for m in (1, 2)
+            for entries in itertools.product((-1, 0, 1), repeat=m * m)
+        ]
+        cases += list(np.random.default_rng(30).integers(-1, 2, size=(2000, 3, 3)).astype(float))
+        for b_matrix in cases:
+            assert is_regular(b_matrix) == spread_relative_is_regular(b_matrix), b_matrix
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [-1000, -500, 500, 1000])
+    def test_power_of_two_scale(self, k):
+        rng = np.random.default_rng(31)
+        g = complex_randn(rng, 3, 3)
+        samples = [
+            complex_randn(rng, 5, 5),
+            np.eye(3, k=-1),
+            np.eye(3),
+            g @ np.diag([2.0, 2.0, 5.0]) @ np.linalg.inv(g),
+            np.diag([1.0, 1.0 + 1e-15]),
+            np.diag([1.0, 2.0, 3.0]),
+        ]
+        for b_matrix in samples:
+            assert is_regular(2.0**k * b_matrix) == is_regular(b_matrix)

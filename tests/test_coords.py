@@ -541,3 +541,11 @@ def test_gate_runs_before_range_check(op):
     fc = FiberCoords(RitzData(levels), [[1e-160], [1e-160, 1e-160]])
     with pytest.raises(GenericityError, match="G2_1"):
         op(fc)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", [1e200, 1e-200])
+def test_complement_c_out_of_range_raises(s):
+    # Sigma_1 = 2 s^2 is 0 or inf in floating point, and c = Sigma_1 / b = 2 s
+    with pytest.raises(NumericalError, match="normal float range"):
+        complement_c_from_b(RitzData([[s], [0.0, 3.0 * s]]), 1, [s])

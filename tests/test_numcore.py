@@ -150,3 +150,9 @@ class TestNumericRank:
         a = complex_randn(rng, 5, 3)
         b = complex_randn(rng, 3, 5)
         assert numeric_rank(a @ b) <= min(numeric_rank(a), numeric_rank(b))
+
+
+@pytest.mark.parametrize("a", [[[np.nan]], [[np.inf, 1.0]]], ids=["nan", "inf"])
+def test_numeric_rank_rejects_non_finite(a):
+    with pytest.raises(ValueError, match="finite"):
+        numeric_rank(a)
